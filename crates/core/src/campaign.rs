@@ -45,7 +45,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mermaid_network::{run_checkpointed, CheckpointOpts, FaultSchedule, RetryParams, Snapshot};
+use mermaid_network::{run_comm, CheckpointOpts, FaultSchedule, RetryParams, Snapshot};
 use mermaid_stats::csv::csv_line;
 use mermaid_stats::DeliveryStats;
 use pearl::{Duration, Time};
@@ -780,7 +780,7 @@ fn execute_run_ckpt(
                         config_hash: hash.clone(),
                         write: &write,
                     };
-                    let (comm, _) = run_checkpointed(
+                    let (comm, _) = run_comm(
                         machine.network,
                         &traces,
                         probe.clone(),

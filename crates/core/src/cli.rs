@@ -13,7 +13,7 @@
 //!                      [--app <scientific|integer>] [--pattern <name>]
 //!                      [--phases N] [--ops N] [--seed N]
 //!                      [--mode <detailed|task|direct>] [--watch]
-//!                      [--shards <N|auto>] [--shard-profile] [--speculate <on|off|ps>]
+//!                      [--shards <N|auto>] [--shard-profile]
 //!                      [--faults <spec|file>] [--fault-seed N]
 //!                      [--trace-out <file>] [--metrics] [--attribution <file>]
 //!                      [--checkpoint-every <ps> --checkpoint-dir <dir>] [--restore <file>]
@@ -29,10 +29,6 @@
 //! profile of the simulator itself. `--shards` runs the communication
 //! model on N worker threads (`auto` = one per host core); sharded runs
 //! are bit-identical to single-threaded ones — with or without faults.
-//! `--speculate` controls the speculative-window policy of sharded runs
-//! (`on` = the default adaptive threshold, `off` = conservative windows
-//! only, or an explicit window-width threshold in picoseconds); it is a
-//! scheduling knob only and never changes results (DESIGN.md §17).
 //!
 //! `analyze` answers "where did the time go": it runs the simulation with
 //! the bottleneck-attribution sink attached and renders the latency
@@ -78,8 +74,8 @@
 //! their last snapshot instead of from scratch.
 
 use mermaid_network::{
-    run_checkpointed_with, CheckpointOpts, CommResult, FaultSchedule, RetryParams, Snapshot,
-    SnapshotError, Speculation, Topology,
+    run_comm, CheckpointOpts, CommResult, FaultSchedule, RetryParams, Snapshot, SnapshotError,
+    Topology,
 };
 use mermaid_ops::table1;
 use std::sync::Arc;
@@ -92,7 +88,7 @@ pub fn usage() -> &'static str {
     "usage:\n  mermaid-cli table1\n  mermaid-cli topo <spec>\n  mermaid-cli machines\n  \
      mermaid-cli simulate --machine <name> --topology <spec> [--app <mix>] [--pattern <p>] \
      [--phases N] [--ops N] [--seed N] [--mode <detailed|task|direct>] [--watch] \
-     [--shards <N|auto>] [--shard-profile] [--speculate <on|off|ps>] \
+     [--shards <N|auto>] [--shard-profile] \
      [--faults <spec|file>] [--fault-seed N] \
      [--trace-out <file>] [--metrics] [--attribution <file>] \
      [--checkpoint-every <ps> --checkpoint-dir <dir>] [--restore <file>]\n  \
@@ -133,7 +129,6 @@ struct Opts {
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<String>,
     restore: Option<String>,
-    speculate: Option<Speculation>,
 }
 
 /// Parse a `--shards` value: a thread count ≥ 1, or `auto` for one shard
@@ -145,22 +140,6 @@ fn parse_shards(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(format!("bad --shards `{s}` (want a count >= 1 or `auto`)")),
-    }
-}
-
-/// Parse a `--speculate` value: `on` (the built-in adaptive threshold),
-/// `off`, or an explicit window-width threshold in picoseconds.
-/// Scheduling policy only — results are bit-identical either way.
-fn parse_speculation(s: &str) -> Result<Speculation, String> {
-    match s {
-        "on" => Ok(Speculation::Auto),
-        "off" => Ok(Speculation::Off),
-        _ => match s.parse::<u64>() {
-            Ok(ps) if ps >= 1 => Ok(Speculation::Threshold(pearl::Duration::from_ps(ps))),
-            _ => Err(format!(
-                "bad --speculate `{s}` (want `on`, `off`, or a threshold in ps >= 1)"
-            )),
-        },
     }
 }
 
@@ -318,7 +297,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--checkpoint-dir" => o.checkpoint_dir = Some(value("--checkpoint-dir")?),
             "--restore" => o.restore = Some(value("--restore")?),
-            "--speculate" => o.speculate = Some(parse_speculation(&value("--speculate")?)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -509,7 +487,7 @@ fn run_task_checkpointed(
         config_hash: hash.clone(),
         write: &write_snap,
     });
-    let (comm, shard_profile) = run_checkpointed_with(
+    let (comm, shard_profile) = run_comm(
         network,
         traces,
         probe.clone(),
@@ -517,7 +495,6 @@ fn run_task_checkpointed(
         faults,
         restored.as_ref(),
         ck.as_ref(),
-        o.speculate.unwrap_or_default(),
     )
     .map_err(|e| e.to_string())?;
     let r = crate::TaskLevelResult {
@@ -695,9 +672,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
             if o.shard_profile && shards <= 1 {
                 return Err("--shard-profile needs --shards with at least 2 workers".into());
             }
-            if o.speculate.is_some() && shards <= 1 {
-                return Err("--speculate needs --shards with at least 2 workers".into());
-            }
             let checkpointing =
                 o.checkpoint_every.is_some() || o.checkpoint_dir.is_some() || o.restore.is_some();
             if checkpointing && mode != "task" {
@@ -776,7 +750,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         .with_probe(probe.clone())
                         .with_shards(shards)
                         .with_faults(faults.clone())
-                        .with_speculation(o.speculate.unwrap_or_default())
                         .run(&traces);
                     let slow = meter.finish(r.predicted_time);
                     finish_ps = r.predicted_time.as_ps();
@@ -831,7 +804,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                                     .with_probe(probe.clone())
                                     .with_shards(shards)
                                     .with_faults(faults.clone())
-                                    .with_speculation(o.speculate.unwrap_or_default())
                                     .run(&traces);
                                 (r, 0)
                             };
@@ -910,9 +882,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
             if o.shard_profile && shards <= 1 {
                 return Err("--shard-profile needs --shards with at least 2 workers".into());
             }
-            if o.speculate.is_some() && shards <= 1 {
-                return Err("--speculate needs --shards with at least 2 workers".into());
-            }
             if o.fault_seed.is_some() && o.faults.is_none() {
                 return Err("--fault-seed needs --faults".into());
             }
@@ -933,7 +902,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         .with_probe(probe.clone())
                         .with_shards(shards)
                         .with_faults(faults.clone())
-                        .with_speculation(o.speculate.unwrap_or_default())
                         .run(&traces);
                     out.push_str(&format!("predicted time: {}\n", r.predicted_time));
                     (r.predicted_time.as_ps(), r.shard_profile)
@@ -944,7 +912,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         .with_probe(probe.clone())
                         .with_shards(shards)
                         .with_faults(faults.clone())
-                        .with_speculation(o.speculate.unwrap_or_default())
                         .run(&traces);
                     out.push_str(&format!("predicted time: {}\n", r.predicted_time));
                     (r.predicted_time.as_ps(), r.shard_profile)
@@ -1230,59 +1197,6 @@ mod tests {
         assert!(out.contains("shard self-profile"), "{out}");
         assert!(out.contains("barrier wait:"), "{out}");
         assert!(out.contains("ev/window"), "{out}");
-    }
-
-    #[test]
-    fn speculate_flag_needs_a_sharded_run_and_a_sane_value() {
-        let err = run(&s(&["sim", "--mode", "task", "--speculate", "on"])).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        let err = run(&s(&["analyze", "--speculate", "off"])).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        let err = parse_opts(&s(&["--speculate", "maybe"])).unwrap_err();
-        assert!(err.contains("--speculate"), "{err}");
-        let err = parse_opts(&s(&["--speculate", "0"])).unwrap_err();
-        assert!(err.contains("--speculate"), "{err}");
-        assert!(matches!(
-            parse_opts(&s(&["--speculate", "on"])).unwrap().speculate,
-            Some(Speculation::Auto)
-        ));
-        assert!(matches!(
-            parse_opts(&s(&["--speculate", "off"])).unwrap().speculate,
-            Some(Speculation::Off)
-        ));
-        assert!(matches!(
-            parse_opts(&s(&["--speculate", "50000"])).unwrap().speculate,
-            Some(Speculation::Threshold(_))
-        ));
-    }
-
-    #[test]
-    fn speculation_policies_produce_identical_output() {
-        let base = s(&[
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "torus:2x2",
-            "--mode",
-            "task",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--shards",
-            "3",
-        ]);
-        let default = run(&base).unwrap();
-        for policy in ["on", "off", "200000"] {
-            let mut args = base.clone();
-            args.extend(s(&["--speculate", policy]));
-            assert_eq!(
-                default,
-                run(&args).unwrap(),
-                "--speculate {policy} diverged"
-            );
-        }
     }
 
     #[test]
@@ -1710,11 +1624,13 @@ mod tests {
     #[test]
     fn bad_fault_specs_are_errors_not_panics() {
         for spec in [
-            "frob:1",        // unknown clause
-            "link:0-9:1000", // node out of range on ring:4
-            "link:0-2:1000", // not a link on ring:4
-            "link:0-1:5:4",  // heals before it fails
-            "drop:2000000",  // rate above 1.0
+            "frob:1",            // unknown clause
+            "link:0-9:1000",     // node out of range on ring:4
+            "link:0-2:1000",     // not a link on ring:4
+            "link:0-1:5:4",      // heals before it fails
+            "drop:2000000",      // rate above 1.0
+            "drop:100000;cap:0", // every retry at one instant
+            "recv-timeout:0",    // every blocking receive abandoned at once
         ] {
             let err = run(&s(&[
                 "sim",

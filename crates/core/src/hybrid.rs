@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::{MemStats, MemSystemConfig};
-use mermaid_network::{
-    run_checkpointed_with, CommResult, CommSim, FaultSchedule, ShardProfile, Speculation,
-};
+use mermaid_network::{run_comm, CommResult, FaultSchedule, ShardProfile};
 use mermaid_ops::{NodeId, Trace, TraceSet};
 use mermaid_probe::ProbeHandle;
 use mermaid_tracegen::InterleavedTraceGen;
@@ -69,7 +67,6 @@ pub struct HybridSim {
     probe: ProbeHandle,
     shards: usize,
     faults: Option<Arc<FaultSchedule>>,
-    speculation: Speculation,
 }
 
 impl HybridSim {
@@ -81,7 +78,6 @@ impl HybridSim {
             probe: ProbeHandle::disabled(),
             shards: 1,
             faults: None,
-            speculation: Speculation::default(),
         }
     }
 
@@ -113,47 +109,6 @@ impl HybridSim {
         self
     }
 
-    /// Set the speculative-window policy for a sharded communication
-    /// phase (builder style). Scheduling only: results are bit-identical
-    /// across every policy. Ignored by serial runs.
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
-    /// Run the communication model over already-extracted task-level
-    /// traces, honouring the configured shard count and fault schedule.
-    fn run_comm(&self, task_traces: &TraceSet) -> (CommResult, Option<ShardProfile>) {
-        if self.shards > 1 {
-            run_checkpointed_with(
-                self.machine.network,
-                task_traces,
-                self.probe.clone(),
-                self.shards,
-                self.faults.clone(),
-                None,
-                None,
-                self.speculation,
-            )
-            .expect("a run without checkpoint options cannot fail")
-        } else {
-            let comm = match &self.faults {
-                Some(f) => CommSim::new_with_faults(
-                    self.machine.network,
-                    task_traces,
-                    self.probe.clone(),
-                    Arc::clone(f),
-                )
-                .run(),
-                None => {
-                    CommSim::new_with_probe(self.machine.network, task_traces, self.probe.clone())
-                        .run()
-                }
-            };
-            (comm, None)
-        }
-    }
-
     /// The machine being simulated.
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
@@ -179,7 +134,16 @@ impl HybridSim {
             nodes.push(stats);
         }
         let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = self.run_comm(&task_traces);
+        let (comm, shard_profile) = run_comm(
+            self.machine.network,
+            &task_traces,
+            self.probe.clone(),
+            self.shards,
+            self.faults.clone(),
+            None,
+            None,
+        )
+        .expect("a run without checkpoint options cannot fail");
         HybridResult {
             predicted_time: comm.finish,
             nodes,
@@ -243,7 +207,16 @@ impl HybridSim {
             task_traces.push(task);
         }
         let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = self.run_comm(&task_traces);
+        let (comm, shard_profile) = run_comm(
+            self.machine.network,
+            &task_traces,
+            self.probe.clone(),
+            self.shards,
+            self.faults.clone(),
+            None,
+            None,
+        )
+        .expect("a run without checkpoint options cannot fail");
         HybridResult {
             predicted_time: comm.finish,
             nodes,

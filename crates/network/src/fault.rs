@@ -455,8 +455,17 @@ impl FaultSchedule {
                     ));
                 }
             }
-            if sched.retry.base_timeout.as_ps() == 0 {
-                return Err("timeout must be positive".to_string());
+            // A zero timeout, cap or watchdog would fire every retry (or
+            // abandon every blocking receive) at the same instant.
+            let r = &sched.retry;
+            for (name, d) in [
+                ("timeout", r.base_timeout),
+                ("cap", r.backoff_cap),
+                ("recv-timeout", r.recv_timeout),
+            ] {
+                if d.as_ps() == 0 {
+                    return Err(format!("{name} must be positive"));
+                }
             }
         }
         Ok(sched)
@@ -591,6 +600,8 @@ mod tests {
             "drop:2000000",
             "bogus:1",
             "timeout:0",
+            "drop:100000; cap:0",
+            "recv-timeout:0",
         ] {
             assert!(
                 FaultSchedule::parse(bad, 0, RetryParams::default()).is_err(),

@@ -22,8 +22,10 @@
 //!   packet travelling back through the network). `asend`/`arecv` are
 //!   non-blocking.
 //!
-//! The entry point is [`CommSim`]: build it from a [`NetworkConfig`] and a
-//! task-level [`mermaid_ops::TraceSet`], run it, and read a [`CommResult`].
+//! The entry point is [`run_comm`]: give it a [`NetworkConfig`] and a
+//! task-level [`mermaid_ops::TraceSet`] (plus optional shards, faults and
+//! checkpointing) and read a [`CommResult`]. [`CommSim`] is the serial
+//! engine underneath it.
 
 pub mod config;
 pub mod fault;
@@ -41,10 +43,7 @@ pub use config::{LinkParams, NetworkConfig, RouterParams, Routing, Switching};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, RetryParams};
 pub use partition::{lookahead, PairLookahead, Partition};
 pub use processor::{ProcStats, UnreachableReport};
-pub use sharded::{
-    auto_shards, run_checkpointed, run_checkpointed_with, run_sharded, run_sharded_with_faults,
-    run_sharded_with_faults_profiled, CheckpointOpts, ShardProfile, ShardProfileEntry, Speculation,
-};
+pub use sharded::{auto_shards, run_comm, CheckpointOpts, ShardProfile, ShardProfileEntry};
 pub use sim::{CommResult, CommSim, NodeCommStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA};
 pub use topology::{Topology, MAX_NODES};

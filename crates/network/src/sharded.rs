@@ -3,19 +3,23 @@
 //! The machine's nodes are partitioned into contiguous shards
 //! ([`Partition`]); each shard runs its routers and processors in a
 //! private [`pearl::Engine`] on its own thread. Threads advance in
-//! conservative windows of width `L` — the configuration's
-//! [`lookahead`]: every round the shards agree on the globally earliest
-//! pending event `m` ([`WindowBarrier::agree_min`]) and then each executes
-//! all its events in `[m, m+L)`. Any cross-shard message produced inside
-//! the window arrives at `≥ m+L` (every router→router hand-off pays at
-//! least `L` of modelled latency), so no shard can miss an event — and
+//! conservative windows. Every round each shard publishes a *promise* —
+//! its earliest pending event time — and reads every peer's
+//! ([`WindowBarrier::publish_mins_timed`]). Shard `i` then executes all
+//! its events before `min over j of (promise_j + L[j][i])`, capped by its
+//! own round trip `promise_i + min_j(L[i][j] + L[j][i])`, where `L` is the
+//! per-shard-pair lookahead matrix ([`PairLookahead`]): a lower bound on
+//! the modelled latency of any effect from shard `j` reaching shard `i`.
+//! A cross-shard message produced inside the window therefore arrives
+//! after the receiver's window ends, so no shard can miss an event — and
 //! because cross-shard messages carry the exact [`pearl::EventKey`] the
 //! serial schedule would have used, each shard's queue pops in exactly the
 //! serial delivery order. A sharded run is therefore *bit-identical* to
 //! [`CommSim::run`]: same results, same per-node statistics, same
-//! model-level probe events. See DESIGN.md §11 for the full argument.
+//! model-level probe events. See DESIGN.md §11 and §17 for the argument.
 //!
-//! Zero lookahead or a single shard falls back to the serial path.
+//! [`run_comm`] is the single entry point. Zero lookahead or a single
+//! shard falls back to the serial [`CommSim`] path.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -34,10 +38,7 @@ use crate::partition::{lookahead, PairLookahead, Partition};
 use crate::processor::AbstractProcessor;
 use crate::router::{CrossShard, OutMsg, Router};
 use crate::sim::{CommResult, CommSim, NodeCommStats};
-use crate::snapshot::{
-    capture_piece, load_engine_state, restore_engine, save_engine_state, EngineState, ShardPiece,
-    Snapshot, SnapshotError,
-};
+use crate::snapshot::{capture_piece, restore_engine, ShardPiece, Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
 /// One cross-shard transfer: every message a shard produced for one
@@ -46,16 +47,15 @@ type Batch = Vec<OutMsg>;
 
 /// Capacity (in batches) of each shard's cross-shard inbox channel,
 /// derived from the protocol rather than guessed: a sender ships at most
-/// one batch per destination per flush point, there are at most two flush
-/// points per round (the round-top flush and the pre-capture flush of a
-/// checkpoint rendezvous), and a receiver drains its inbox between any
-/// two of its own flush points — so at most `2` undrained batches can
-/// exist per sender at any instant, `2 * (k - 1)` per channel. A full
-/// channel therefore cannot happen in a correct run; [`ship`] treats it
-/// as a protocol-invariant violation instead of retrying (the PR 3 code
-/// sized the channel at a magic 1024 messages and span on full).
+/// one batch per destination per round (the round-top flush), and a
+/// receiver drains its inbox after the round gate and before the promise
+/// exchange that every sender must pass before its next flush — so at
+/// most one undrained batch can exist per sender at any instant, `k - 1`
+/// per channel. A full channel therefore cannot happen in a correct run;
+/// [`ship`] treats it as a protocol-invariant violation instead of
+/// retrying.
 fn channel_capacity(shards: usize) -> usize {
-    2 * shards.saturating_sub(1).max(1)
+    shards.saturating_sub(1).max(1)
 }
 
 /// Push one batch into a destination shard's inbox, panicking on the
@@ -71,35 +71,6 @@ fn ship(tx: &SyncSender<Batch>, batch: Batch, from: usize, to: usize) {
         ),
         Err(TrySendError::Disconnected(_)) => {
             unreachable!("inbox receivers live for the whole run")
-        }
-    }
-}
-
-/// Speculative-window policy for sharded runs. Speculation never changes
-/// results — a mis-speculated window is rolled back and re-executed from
-/// an in-memory snapshot — it only trades (bounded) re-execution risk for
-/// fewer barrier rounds when the conservative window bound is degenerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// Never speculate: pure conservative windows.
-    Off,
-    /// Speculate past degenerate windows with a threshold derived from
-    /// the configuration's lookahead (currently `8 x` lookahead).
-    #[default]
-    Auto,
-    /// Speculate with an explicit window threshold: a conservative window
-    /// narrower than this triggers a speculative run out to
-    /// `next event + threshold`.
-    Threshold(Duration),
-}
-
-impl Speculation {
-    /// The speculation threshold in picoseconds; `None` when off.
-    fn threshold_ps(self, la: Duration) -> Option<u64> {
-        match self {
-            Speculation::Off => None,
-            Speculation::Auto => Some(8 * la.as_ps()),
-            Speculation::Threshold(d) => Some(d.as_ps()).filter(|&ps| ps > 0),
         }
     }
 }
@@ -187,8 +158,6 @@ impl RoundGate {
 struct ShardOut {
     /// Stats of this shard's nodes, in node order.
     nodes: Vec<NodeCommStats>,
-    /// Events this shard's engine delivered.
-    events: u64,
     /// Model-level probe events recorded by this shard (emission order).
     probe_events: Vec<SimEvent>,
     /// This shard's self-profile.
@@ -218,11 +187,6 @@ pub struct ShardProfileEntry {
     /// Batched channel sends carrying those messages (one per destination
     /// shard per flush with traffic) — the actual channel operation count.
     pub flush_batches: u64,
-    /// Speculative windows whose results were validated and kept.
-    pub spec_commits: u64,
-    /// Speculative windows rolled back and re-executed conservatively
-    /// (including stagnation aborts, which restore the same snapshot).
-    pub spec_rollbacks: u64,
     /// Log2 histogram of executed window widths: `window_hist[b]` counts
     /// windows whose width in picoseconds satisfied `2^b <= width <
     /// 2^(b+1)` (bucket 0 also holds zero-width rounds). Empty when the
@@ -283,14 +247,16 @@ impl ShardProfile {
         self.shards.iter().map(|s| s.flush_batches).sum()
     }
 
-    /// Total committed speculative windows across all shards.
+    /// Always 0: speculative windows were removed. Kept only because the
+    /// `perfbench` benchmark still reads it.
     pub fn total_spec_commits(&self) -> u64 {
-        self.shards.iter().map(|s| s.spec_commits).sum()
+        0
     }
 
-    /// Total rolled-back speculative windows across all shards.
+    /// Always 0: speculative windows were removed. Kept only because the
+    /// `perfbench` benchmark still reads it.
     pub fn total_spec_rollbacks(&self) -> u64 {
-        self.shards.iter().map(|s| s.spec_rollbacks).sum()
+        0
     }
 
     /// Element-wise sum of every shard's window-width histogram.
@@ -317,11 +283,11 @@ impl ShardProfile {
     pub fn render(&self) -> String {
         let mut out = String::from(
             "shard  windows  events  ev/window  cross-sent  cross-recv  batches  \
-             spec-commit  spec-rollback  barrier-us  work-us\n",
+             barrier-us  work-us\n",
         );
         for s in &self.shards {
             out.push_str(&format!(
-                "{:>5}  {:>7}  {:>6}  {:>9}  {:>10}  {:>10}  {:>7}  {:>11}  {:>13}  {:>10}  {:>7}\n",
+                "{:>5}  {:>7}  {:>6}  {:>9}  {:>10}  {:>10}  {:>7}  {:>10}  {:>7}\n",
                 s.shard,
                 s.windows,
                 s.events,
@@ -329,8 +295,6 @@ impl ShardProfile {
                 s.cross_sent,
                 s.cross_recv,
                 s.flush_batches,
-                s.spec_commits,
-                s.spec_rollbacks,
                 s.barrier_wait_ns / 1_000,
                 s.work_ns / 1_000,
             ));
@@ -356,60 +320,6 @@ impl ShardProfile {
     }
 }
 
-/// Run the communication model across `shards` worker threads and return
-/// a result bit-identical to `CommSim::new_with_probe(cfg, traces,
-/// probe).run()`.
-///
-/// Falls back to the serial path when `shards <= 1`, when the topology is
-/// too small to split, or when the configuration has zero lookahead.
-/// With an enabled `probe`, the merged per-shard event stream is replayed
-/// into it in canonical order; engine-internal events (queue depths,
-/// ladder-tier moves) are per-shard artifacts and are not reproduced —
-/// model-level events all are.
-pub fn run_sharded(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-) -> CommResult {
-    run_sharded_with_faults(cfg, traces, probe, shards, None)
-}
-
-/// [`run_sharded`] with deterministic fault injection: bit-identical to
-/// `CommSim::new_with_faults(cfg, traces, probe, faults).run()`.
-///
-/// Scripted fault events are self-events of the affected router, so each
-/// shard posts only its own nodes' events — in the same per-node order as
-/// the serial engine — before priming, which consumes exactly the serial
-/// per-component key counters. Per-packet transient losses and corruptions
-/// are drawn from a stateless seeded hash over the packet's identity and
-/// the link it crosses, so the draw is the same whichever shard makes it.
-pub fn run_sharded_with_faults(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> CommResult {
-    run_sharded_with_faults_profiled(cfg, traces, probe, shards, faults).0
-}
-
-/// [`run_sharded_with_faults`] that also returns the run's
-/// [`ShardProfile`] — `None` when the run fell back to the serial path
-/// (single shard, tiny topology, or zero lookahead). The `CommResult` is
-/// unaffected by profiling; the profile is host-wall-clock data and must
-/// stay out of deterministic outputs.
-pub fn run_sharded_with_faults_profiled(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> (CommResult, Option<ShardProfile>) {
-    run_checkpointed(cfg, traces, probe, shards, faults, None, None)
-        .expect("a run without checkpoint options cannot fail")
-}
-
 /// A request to write periodic checkpoints during a run: capture the
 /// complete simulation state at every multiple of `every` (virtual time)
 /// and hand the composed [`Snapshot`] to `write`. The same snapshot file
@@ -427,14 +337,14 @@ pub struct CheckpointOpts<'a> {
     pub write: &'a (dyn Fn(&Snapshot) -> Result<(), SnapshotError> + Sync),
 }
 
-/// Shared state of the sharded capture protocol: every shard deposits
-/// its [`ShardPiece`] (plus its buffered probe events, when attribution
-/// is attached), all shards rendezvous on the barrier, then shard 0
-/// composes and writes while the rest move on.
 /// One shard's deposited capture: its partition slice plus the probe
 /// events buffered since the previous checkpoint.
 type CaptureSlot = Option<(ShardPiece, Vec<SimEvent>)>;
 
+/// Shared state of the sharded capture protocol: every shard deposits
+/// its [`ShardPiece`] (plus its buffered probe events, when attribution
+/// is attached), all shards rendezvous on the barrier, then shard 0
+/// composes and writes while the rest wait for the slots to be free.
 struct CkptSync<'a> {
     opts: &'a CheckpointOpts<'a>,
     /// Seed for the composed attribution record when the run itself was
@@ -534,14 +444,31 @@ fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), Snapshot
     }
 }
 
-/// [`run_sharded_with_faults_profiled`] extended with checkpoint/restore:
-/// `restore_from` resumes a run from a [`Snapshot`] (bit-identically —
-/// results, stats, probe stream and attribution match the uninterrupted
-/// run from the instant on), and `ckpt` writes periodic snapshots during
-/// the run. Serial and sharded execution accept both; a single shard or
-/// zero lookahead falls back to the serial path exactly as the plain
-/// entry does.
-pub fn run_checkpointed(
+/// Run the communication model — the one entry point, serial or sharded.
+///
+/// The result is bit-identical to a serial [`CommSim`] run over the same
+/// inputs whatever the shard count: results, per-node stats, model-level
+/// probe events and attribution all match. `shards`
+/// worker threads run the conservative window protocol; a single shard,
+/// a topology too small to split, or zero lookahead takes the serial
+/// [`CommSim`] path instead. With an enabled `probe`, a sharded run
+/// replays the merged per-shard event stream into it in canonical order;
+/// engine-internal events (queue depths, ladder-tier moves) are
+/// per-shard artifacts and are not reproduced.
+///
+/// Scripted fault events are self-events of the affected router, so each
+/// shard posts only its own nodes' events — in the same per-node order as
+/// the serial engine — before priming. Per-packet transient losses and
+/// corruptions are drawn from a stateless seeded hash over the packet's
+/// identity and the link it crosses, so the draw is the same whichever
+/// shard makes it.
+///
+/// `restore_from` resumes a run from a [`Snapshot`] (bit-identically from
+/// the snapshot instant on), and `ckpt` writes periodic snapshots during
+/// the run; both work serial and sharded, and a run with neither cannot
+/// fail. The returned [`ShardProfile`] is `None` on the serial path; it
+/// is host-wall-clock data and must stay out of deterministic outputs.
+pub fn run_comm(
     cfg: NetworkConfig,
     traces: &TraceSet,
     probe: ProbeHandle,
@@ -549,33 +476,6 @@ pub fn run_checkpointed(
     faults: Option<Arc<FaultSchedule>>,
     restore_from: Option<&Snapshot>,
     ckpt: Option<&CheckpointOpts<'_>>,
-) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
-    run_checkpointed_with(
-        cfg,
-        traces,
-        probe,
-        shards,
-        faults,
-        restore_from,
-        ckpt,
-        Speculation::default(),
-    )
-}
-
-/// [`run_checkpointed`] with an explicit [`Speculation`] policy. The
-/// policy affects scheduling only — results, stats, probe streams and
-/// checkpoint files are bit-identical across every policy (and to the
-/// serial run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_with(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CheckpointOpts<'_>>,
-    speculation: Speculation,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     cfg.validate();
     let part = Partition::contiguous(cfg.topology, shards);
@@ -584,20 +484,10 @@ pub fn run_checkpointed_with(
         let result = run_serial_checkpointed(cfg, traces, probe, faults, restore_from, ckpt)?;
         return Ok((result, None));
     }
-    run_sharded_inner(
-        cfg,
-        traces,
-        probe,
-        part,
-        la,
-        faults,
-        restore_from,
-        ckpt,
-        speculation,
-    )
+    run_sharded_inner(cfg, traces, probe, part, la, faults, restore_from, ckpt)
 }
 
-/// The serial path of [`run_checkpointed`]: restore (if asked), then run
+/// The serial path of [`run_comm`]: restore (if asked), then run
 /// in stretches bounded by the next checkpoint instant, capturing at
 /// each multiple of the cadence until the event set drains.
 fn run_serial_checkpointed(
@@ -643,7 +533,7 @@ fn run_serial_checkpointed(
     Ok(sim.run())
 }
 
-/// The genuinely sharded body of [`run_checkpointed`].
+/// The genuinely sharded body of [`run_comm`].
 #[allow(clippy::too_many_arguments)]
 fn run_sharded_inner(
     cfg: NetworkConfig,
@@ -654,7 +544,6 @@ fn run_sharded_inner(
     faults: Option<Arc<FaultSchedule>>,
     restore_from: Option<&Snapshot>,
     ckpt: Option<&CheckpointOpts<'_>>,
-    speculation: Speculation,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     let n = cfg.topology.nodes();
     if let Some(snap) = restore_from {
@@ -730,7 +619,6 @@ fn run_sharded_inner(
                         faults,
                         restore_from,
                         ckpt_sync,
-                        speculation.threshold_ps(la),
                     )
                 })
             })
@@ -750,63 +638,6 @@ fn run_sharded_inner(
     Ok((result, Some(profile)))
 }
 
-/// Cap on the speculation rollback backoff, in conservative rounds. The
-/// penalty doubles on every rollback up to this cap and resets to zero on
-/// a commit, so a workload where speculation keeps losing pays for at most
-/// one rollback per `SPEC_BACKOFF_CAP` rounds in steady state.
-const SPEC_BACKOFF_CAP: u64 = 1024;
-
-/// An in-flight speculative window: the rollback snapshot plus everything
-/// needed to validate, commit, or unwind it.
-struct Spec {
-    /// Exclusive end of the speculated region; an incoming message
-    /// timestamped strictly below it invalidates the speculation.
-    end_ps: u64,
-    /// The promise to publish while this speculation is pending: the
-    /// engine's queue-head time at launch, exactly what a conservative
-    /// shard stalled at the same frontier would publish. The sped-ahead
-    /// engine's own `next_event_time` is NOT a valid promise — a later
-    /// arrival above `end_ps` can land below it and legally drag it
-    /// back down after peers already built their frontiers on it.
-    promise_ps: u64,
-    /// Engine + world state at the conservative frontier the speculation
-    /// started from.
-    state: EngineState,
-    /// Probe buffer length at the snapshot (rollback truncation point).
-    probe_len: usize,
-    /// Cross-shard output generated by the speculative run, withheld from
-    /// the channels until the window commits.
-    held: Vec<OutMsg>,
-    /// Cross-shard input received while pending — already posted to the
-    /// speculated engine, re-posted after a rollback (the wholesale
-    /// restore wipes the queue), dropped on commit.
-    incoming_log: Vec<OutMsg>,
-}
-
-/// Roll a mis-speculated (or stagnation-aborted) window back: restore the
-/// engine to the conservative frontier, drop the speculated probe suffix
-/// and held output, and re-post every cross-shard message received since
-/// the snapshot (`extra` carries the current round's, including the
-/// invalidating one).
-fn unwind(
-    engine: &mut Engine<NetMsg, NetWorld>,
-    probe: &ProbeHandle,
-    sp: Spec,
-    extra: Vec<OutMsg>,
-    profile: &mut ShardProfileEntry,
-) {
-    profile.spec_rollbacks += 1;
-    load_engine_state(engine, &sp.state);
-    let _ = probe.with_stack(|st| {
-        if let Some(b) = st.buffer.as_mut() {
-            b.truncate(sp.probe_len);
-        }
-    });
-    for m in sp.incoming_log.into_iter().chain(extra) {
-        engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-    }
-}
-
 /// One shard's whole life: build its arena world, run the window loop,
 /// collect local stats.
 #[allow(clippy::too_many_arguments)]
@@ -824,7 +655,6 @@ fn shard_worker(
     faults: Option<Arc<FaultSchedule>>,
     restore_from: Option<&Snapshot>,
     ckpt: Option<&CkptSync<'_>>,
-    spec_threshold: Option<u64>,
 ) -> ShardOut {
     let n = part.nodes();
     let k = part.shards() as u64;
@@ -930,43 +760,27 @@ fn shard_worker(
         shard: s,
         ..ShardProfileEntry::default()
     };
-    // Batch the outbox into one channel send per destination shard with
-    // traffic. The channels never fill (see [`channel_capacity`]), so
-    // there is no retry path.
-    let do_flush = |msgs: &mut Vec<OutMsg>, profile: &mut ShardProfileEntry| {
-        if msgs.is_empty() {
-            return;
-        }
-        profile.cross_sent += msgs.len() as u64;
-        let mut batches: Vec<Batch> = vec![Vec::new(); ks];
-        for m in msgs.drain(..) {
-            batches[part.shard_of(m.dst as u32)].push(m);
-        }
-        for (d, b) in batches.into_iter().enumerate() {
-            if !b.is_empty() {
-                profile.flush_batches += 1;
-                ship(&txs[d], b, s, d);
+    let mut mins: Vec<u64> = Vec::new();
+    loop {
+        // 1. Flush this round's cross-shard messages: one channel send
+        //    per destination shard with traffic. The channels never fill
+        //    (see [`channel_capacity`]), so there is no retry path.
+        {
+            let mut msgs = outbox.borrow_mut();
+            if !msgs.is_empty() {
+                profile.cross_sent += msgs.len() as u64;
+                let mut batches: Vec<Batch> = vec![Vec::new(); ks];
+                for m in msgs.drain(..) {
+                    batches[part.shard_of(m.dst as u32)].push(m);
+                }
+                for (d, b) in batches.into_iter().enumerate() {
+                    if !b.is_empty() {
+                        profile.flush_batches += 1;
+                        ship(&txs[d], b, s, d);
+                    }
+                }
             }
         }
-    };
-    let mut spec: Option<Spec> = None;
-    let mut mins: Vec<u64> = Vec::new();
-    let mut prev_mins: Vec<u64> = Vec::new();
-    // Rollback backoff. Speculation is a bet that no peer sends into the
-    // speculated region; when the bet loses, the shard pays a snapshot
-    // restore plus a re-executed window — far more than the stall it
-    // tried to hide. On comm-heavy workloads the bet loses almost every
-    // round, so unbounded retry turns speculation into a large slowdown.
-    // The penalty doubles on every rollback (capped) and suppresses new
-    // launches for that many conservative rounds; a commit resets it, so
-    // workloads where speculation wins keep speculating freely.
-    let mut spec_penalty: u64 = 0;
-    let mut spec_cooldown: u64 = 0;
-    loop {
-        // 1. Flush this round's cross-shard messages. During a pending
-        //    speculation the outbox only ever holds validated output —
-        //    the speculative suffix lives in `spec.held`.
-        do_flush(&mut outbox.borrow_mut(), &mut profile);
         // 2. Round gate: wait (draining) until every shard has flushed.
         round += 1;
         gate.arrive();
@@ -974,112 +788,31 @@ fn shard_worker(
         gate.wait(round * k, || inbox.extend(rx.try_iter()));
         profile.barrier_wait_ns += gate_wait.elapsed().as_nanos() as u64;
         inbox.extend(rx.try_iter());
-        // 3. Inject cross-shard arrivals at their exact serial queue
-        //    keys. An arrival inside a speculated region proves the
-        //    speculation wrong: rewind and re-execute with it.
-        let mut incoming: Vec<OutMsg> = Vec::new();
+        // 3. Inject cross-shard arrivals at their exact serial queue keys.
         for b in inbox.drain(..) {
-            incoming.extend(b);
-        }
-        profile.cross_recv += incoming.len() as u64;
-        if let Some(mut sp) = spec.take() {
-            if incoming.iter().any(|m| m.time.as_ps() < sp.end_ps) {
-                unwind(&mut engine, &my_probe, sp, incoming, &mut profile);
-                spec_penalty = (spec_penalty * 2).clamp(1, SPEC_BACKOFF_CAP);
-                spec_cooldown = spec_penalty;
-            } else {
-                for m in &incoming {
-                    engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-                }
-                sp.incoming_log.append(&mut incoming);
-                spec = Some(sp);
-            }
-        } else {
-            for m in incoming.drain(..) {
+            profile.cross_recv += b.len() as u64;
+            for m in b {
                 engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
             }
         }
-        // 4. Publish this shard's promise and read every peer's. The
-        //    promise must lower-bound (through the pair matrix) every
-        //    message this shard may still deliver. Conservatively that is
-        //    the queue head. While a speculation is pending it is the
-        //    queue head *at launch*, frozen: every speculated event (and
-        //    hence every held message, and the identical replayed prefix
-        //    after a rollback) executes at or after that head, and
-        //    rollback divergence is bounded by the trigger sender's own
-        //    promise chained through real node paths — see DESIGN.md
-        //    §17. Speculation therefore never widens what a peer may
-        //    execute; it only precomputes this shard's side of a window
-        //    the conservative protocol will eventually grant.
-        let local_ps = match &spec {
-            Some(sp) => sp.promise_ps,
-            None => engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps()),
-        };
-        let waited_ns = barrier.publish_mins_timed(s, local_ps, &mut mins);
-        profile.barrier_wait_ns += waited_ns;
+        // 4. Publish this shard's promise — its queue head, which
+        //    lower-bounds (through the pair matrix) every message it may
+        //    still deliver — and read every peer's.
+        let local_ps = engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps());
+        profile.barrier_wait_ns += barrier.publish_mins_timed(s, local_ps, &mut mins);
         let m_ps = mins.iter().copied().min().unwrap_or(IDLE_PS);
         if m_ps == IDLE_PS {
-            // Every engine drained, nothing in flight. A shard with a
-            // pending speculation publishes its finite frozen promise,
-            // so all-idle implies no speculation is pending anywhere.
-            debug_assert!(
-                spec.is_none(),
-                "a pending speculation publishes a finite promise"
-            );
+            // Every engine drained, nothing in flight.
             break;
         }
-        // 5. Validate a pending speculation against the new bound.
-        let bound = pairla.window_end_ps(s, &mins);
-        if let Some(sp) = spec.take() {
-            if bound >= sp.end_ps {
-                // Proven: no shard can ever send into the speculated
-                // region. Release the held output (flushed next round).
-                profile.spec_commits += 1;
-                outbox.borrow_mut().extend(sp.held);
-                spec_penalty = 0;
-            } else if mins == prev_mins {
-                // Stagnation: a full round with no published value moving
-                // means every shard is frozen behind pending speculations
-                // (an executing shard strictly raises its promise).
-                // Revert to the conservative protocol to restore
-                // liveness.
-                unwind(&mut engine, &my_probe, sp, Vec::new(), &mut profile);
-                spec_penalty = (spec_penalty * 2).clamp(1, SPEC_BACKOFF_CAP);
-                spec_cooldown = spec_penalty;
-            } else {
-                spec = Some(sp);
-            }
-        }
-        prev_mins.clone_from(&mins);
-        // 6. Capture every checkpoint instant at or before the global
-        //    minimum: all events before it were processed (windows and
-        //    speculations are clamped to the cadence), all pending events
-        //    are at or after it. Every shard sees the same `mins` and
-        //    cadence, so all deposit pieces for the same instants in the
-        //    same rounds. A speculation pending here is impossible: its
-        //    end is clamped to `next_cp <= m < bound`, which commits it
-        //    in step 5.
+        // 5. Capture every checkpoint instant at or before the global
+        //    minimum: all events before it were processed (windows are
+        //    clamped to the cadence), all pending events are at or after
+        //    it, and step 3 already posted every in-flight message. Every
+        //    shard sees the same `mins` and cadence, so all deposit
+        //    pieces for the same instants in the same rounds.
         if let Some(ck) = ckpt {
             while next_cp <= m_ps {
-                debug_assert!(
-                    spec.is_none(),
-                    "speculation never crosses a capture instant"
-                );
-                // Deliver every in-flight message first: a speculative
-                // batch committed this round still sits in the outbox,
-                // and the composed snapshot must show it in its
-                // destination's queue exactly as a serial capture would.
-                do_flush(&mut outbox.borrow_mut(), &mut profile);
-                ck.barrier.wait();
-                inbox.extend(rx.try_iter());
-                let mut late: Vec<OutMsg> = Vec::new();
-                for b in inbox.drain(..) {
-                    late.extend(b);
-                }
-                profile.cross_recv += late.len() as u64;
-                for m in late {
-                    engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-                }
                 let at = Time::from_ps(next_cp);
                 let piece = capture_piece(&engine, &ck.opts.config_hash, at);
                 let buffered = if ck.want_attr {
@@ -1103,61 +836,17 @@ fn shard_worker(
                 next_cp += every_ps;
             }
         }
-        // 7. Execute the window. Events *at* the window end belong to the
+        // 6. Execute the window. Events *at* the window end belong to the
         //    next round (times are integer picoseconds, so `end - 1` is
-        //    exact). While a speculation is pending the engine has
-        //    already run ahead; the shard stalls until validation.
+        //    exact).
         profile.windows += 1;
-        if spec.is_none() {
-            let end_ps = bound.min(next_cp);
-            let nev = engine.next_event_time().map(|t| t.as_ps());
-            if let Some(start) = nev {
-                if start < end_ps {
-                    let work = std::time::Instant::now();
-                    engine.run_until(Time::from_ps(end_ps - 1));
-                    profile.work_ns += work.elapsed().as_nanos() as u64;
-                    profile.record_width(end_ps - start);
-                }
-            }
-            // 8. Launch a speculative window when the proven bound left
-            //    less than a threshold of runway: snapshot, run ahead to
-            //    `next event + threshold` (never across a checkpoint
-            //    instant), and hold all cross-shard output back until the
-            //    bound catches up.
-            if let Some(thr) = spec_threshold {
-                if spec_cooldown > 0 {
-                    spec_cooldown -= 1;
-                    // Backing off after recent rollbacks — see the
-                    // penalty bookkeeping at the unwind sites.
-                } else {
-                    let start = nev.unwrap_or(end_ps);
-                    let spec_end = start.saturating_add(thr).min(next_cp);
-                    if end_ps != u64::MAX && end_ps.saturating_sub(start) < thr && spec_end > end_ps
-                    {
-                        if let Some(head) = engine.next_event_time() {
-                            if head.as_ps() < spec_end {
-                                let mark = outbox.borrow().len();
-                                let state = save_engine_state(&engine);
-                                let probe_len = my_probe
-                                    .with_stack(|st| st.buffer.as_ref().map_or(0, |b| b.len()))
-                                    .unwrap_or(0);
-                                let work = std::time::Instant::now();
-                                engine.run_until(Time::from_ps(spec_end - 1));
-                                profile.work_ns += work.elapsed().as_nanos() as u64;
-                                profile.record_width(spec_end - head.as_ps());
-                                let held = outbox.borrow_mut().split_off(mark);
-                                spec = Some(Spec {
-                                    end_ps: spec_end,
-                                    promise_ps: head.as_ps(),
-                                    state,
-                                    probe_len,
-                                    held,
-                                    incoming_log: Vec::new(),
-                                });
-                            }
-                        }
-                    }
-                }
+        let end_ps = pairla.window_end_ps(s, &mins).min(next_cp);
+        if let Some(start) = engine.next_event_time().map(|t| t.as_ps()) {
+            if start < end_ps {
+                let work = std::time::Instant::now();
+                engine.run_until(Time::from_ps(end_ps - 1));
+                profile.work_ns += work.elapsed().as_nanos() as u64;
+                profile.record_width(end_ps - start);
             }
         }
     }
@@ -1174,7 +863,6 @@ fn shard_worker(
     }
     ShardOut {
         nodes,
-        events: engine.events_processed(),
         probe_events: my_probe.take_buffer().unwrap_or_default(),
         profile,
     }
@@ -1190,7 +878,7 @@ fn merge(outs: Vec<ShardOut>, probe: &ProbeHandle) -> (CommResult, ShardProfile)
     let mut probe_events = Vec::new();
     let mut profile = ShardProfile::default();
     for out in outs {
-        events += out.events;
+        events += out.profile.events;
         probe_events.extend(out.probe_events);
         nodes.extend(out.nodes);
         profile.shards.push(out.profile);
@@ -1269,13 +957,24 @@ mod tests {
         assert_eq!(a.msg_latency.max(), b.msg_latency.max());
     }
 
+    /// Run without checkpointing, which cannot fail.
+    fn run(
+        cfg: NetworkConfig,
+        ts: &TraceSet,
+        probe: ProbeHandle,
+        shards: usize,
+    ) -> (CommResult, Option<ShardProfile>) {
+        run_comm(cfg, ts, probe, shards, None, None, None)
+            .expect("a run without checkpoint options cannot fail")
+    }
+
     #[test]
     fn sharded_matches_serial_on_a_ring() {
         let cfg = NetworkConfig::test(Topology::Ring(8));
         let ts = exchange_traces(8);
         let serial = CommSim::new(cfg, &ts).run();
         for shards in [2, 3, 8] {
-            let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), shards);
+            let sh = run(cfg, &ts, ProbeHandle::disabled(), shards).0;
             assert_identical(&serial, &sh);
         }
     }
@@ -1289,7 +988,7 @@ mod tests {
             let cfg = NetworkConfig::test(topo);
             let ts = exchange_traces(16);
             let serial = CommSim::new(cfg, &ts).run();
-            let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 4);
+            let sh = run(cfg, &ts, ProbeHandle::disabled(), 4).0;
             assert_identical(&serial, &sh);
         }
     }
@@ -1308,7 +1007,7 @@ mod tests {
             ]
         });
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 4);
+        let sh = run(cfg, &ts, ProbeHandle::disabled(), 4).0;
         assert_identical(&serial, &sh);
     }
 
@@ -1320,7 +1019,7 @@ mod tests {
             _ => vec![Operation::Compute { ps: 100 }],
         });
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 2);
+        let sh = run(cfg, &ts, ProbeHandle::disabled(), 2).0;
         assert_identical(&serial, &sh);
         assert_eq!(sh.deadlocked, vec![0]);
     }
@@ -1330,7 +1029,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Ring(4));
         let ts = exchange_traces(4);
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 1);
+        let sh = run(cfg, &ts, ProbeHandle::disabled(), 1).0;
         assert_identical(&serial, &sh);
     }
 
@@ -1350,7 +1049,7 @@ mod tests {
         canonical_sort(&mut serial_events);
 
         let sharded_probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let sharded = run_sharded(cfg, &ts, sharded_probe.clone(), 3);
+        let sharded = run(cfg, &ts, sharded_probe.clone(), 3).0;
         let sharded_events = sharded_probe.take_buffer().unwrap();
         // Replay is already canonical; assert bit-identical streams.
         assert_eq!(serial_events, sharded_events);
@@ -1363,8 +1062,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
         let ts = exchange_traces(8);
         let serial = CommSim::new(cfg, &ts).run();
-        let (sh, profile) =
-            run_sharded_with_faults_profiled(cfg, &ts, ProbeHandle::disabled(), 4, None);
+        let (sh, profile) = run(cfg, &ts, ProbeHandle::disabled(), 4);
         assert_identical(&serial, &sh);
         let profile = profile.expect("a real sharded run self-profiles");
         assert_eq!(profile.shards.len(), 4);
@@ -1382,128 +1080,42 @@ mod tests {
         let recv = profile.shards.iter().map(|p| p.cross_recv).sum::<u64>();
         assert_eq!(sent, recv, "cross-shard channels conserve messages");
         assert!(sent > 0, "a split torus must exchange messages");
+        // The flush path batches: cross-shard traffic moves in at most one
+        // batch per destination per flush point.
+        assert!(profile.total_flush_batches() > 0);
+        assert!(profile.total_flush_batches() <= sent);
         assert!(profile.barrier_share_ppm() <= 1_000_000);
         let table = profile.render();
         assert!(table.contains("ev/window"));
         assert!(table.lines().count() >= 5);
     }
 
-    /// Run sharded under an explicit speculative-window policy.
-    fn run_with_policy(
-        cfg: NetworkConfig,
-        ts: &TraceSet,
-        shards: usize,
-        policy: Speculation,
-    ) -> (CommResult, ShardProfile) {
-        let (r, profile) = run_checkpointed_with(
-            cfg,
-            ts,
-            ProbeHandle::disabled(),
-            shards,
-            None,
-            None,
-            None,
-            policy,
-        )
-        .expect("a run without checkpoint options cannot fail");
-        (r, profile.expect("a real sharded run self-profiles"))
-    }
-
-    #[test]
-    fn speculation_off_is_bit_identical_and_never_speculates() {
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 4 });
-        let ts = exchange_traces(16);
-        let serial = CommSim::new(cfg, &ts).run();
-        let (sh, profile) = run_with_policy(cfg, &ts, 4, Speculation::Off);
-        assert_identical(&serial, &sh);
-        assert_eq!(profile.total_spec_commits(), 0);
-        assert_eq!(profile.total_spec_rollbacks(), 0);
-    }
-
-    #[test]
-    fn forced_speculation_is_bit_identical_and_counted() {
-        // A threshold far beyond every conservative window forces a
-        // speculative attempt whenever a shard has pending work, so the
-        // commit/rollback machinery is genuinely exercised — and the
-        // results must still match the serial run exactly.
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 4 });
-        let ts = exchange_traces(16);
-        let serial = CommSim::new(cfg, &ts).run();
-        let aggressive = Speculation::Threshold(Duration::from_ps(1_000_000_000));
-        let (sh, profile) = run_with_policy(cfg, &ts, 4, aggressive);
-        assert_identical(&serial, &sh);
-        assert!(
-            profile.total_spec_commits() + profile.total_spec_rollbacks() > 0,
-            "an aggressive threshold must trigger speculation"
-        );
-        // The flush path batches: cross-shard traffic moves in at most one
-        // batch per destination per flush point.
-        assert!(profile.total_flush_batches() > 0);
-        assert!(profile.total_flush_batches() <= profile.total_cross_msgs());
-    }
-
-    #[test]
-    fn forced_speculation_keeps_the_probe_stream_exact() {
-        // Rollbacks must leave no trace in the probe buffer (speculated
-        // events are truncated before re-execution).
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
-        let ts = exchange_traces(8);
-        let serial_probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let serial = CommSim::new_with_probe(cfg, &ts, serial_probe.clone()).run();
-        let mut serial_events: Vec<SimEvent> = serial_probe
-            .take_buffer()
-            .unwrap()
-            .into_iter()
-            .filter(|e| !e.is_engine_internal())
-            .collect();
-        canonical_sort(&mut serial_events);
-
-        let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let (sh, _) = run_checkpointed_with(
-            cfg,
-            &ts,
-            probe.clone(),
-            3,
-            None,
-            None,
-            None,
-            Speculation::Threshold(Duration::from_ps(1_000_000_000)),
-        )
-        .expect("a run without checkpoint options cannot fail");
-        let sharded_events = probe.take_buffer().unwrap();
-        assert_eq!(serial_events, sharded_events);
-        assert!(!sharded_events.is_empty());
-        assert_identical(&serial, &sh);
-    }
-
     #[test]
     fn window_histogram_accounts_for_every_window() {
         let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
         let ts = exchange_traces(8);
-        let (_, profile) = run_with_policy(cfg, &ts, 3, Speculation::default());
+        let profile = run(cfg, &ts, ProbeHandle::disabled(), 3)
+            .1
+            .expect("a real sharded run self-profiles");
         let hist = profile.window_hist();
         let total: u64 = hist.iter().sum();
         let windows: u64 = profile.shards.iter().map(|p| p.windows).sum();
-        // A round records at most two widths: the conservative slice it
-        // executed, plus a speculative window launched in the same round
-        // (which later resolves as exactly one commit or rollback).
-        let launches = profile.total_spec_commits() + profile.total_spec_rollbacks();
+        // A round records at most one width: the slice it executed.
         assert!(total > 0, "a finite run records window widths");
         assert!(
-            total <= windows + launches,
-            "histogram counts executed windows only ({total} vs {windows} rounds + {launches} speculative launches)"
+            total <= windows,
+            "histogram counts executed windows only ({total} vs {windows} rounds)"
         );
         let rendered = profile.render();
         assert!(rendered.contains("window widths (log2):"), "{rendered}");
-        assert!(rendered.contains("spec-commit"), "{rendered}");
+        assert!(rendered.contains("batches"), "{rendered}");
     }
 
     #[test]
     fn serial_fallback_yields_no_profile() {
         let cfg = NetworkConfig::test(Topology::Ring(4));
         let ts = exchange_traces(4);
-        let (_, profile) =
-            run_sharded_with_faults_profiled(cfg, &ts, ProbeHandle::disabled(), 1, None);
+        let (_, profile) = run(cfg, &ts, ProbeHandle::disabled(), 1);
         assert!(profile.is_none());
     }
 
@@ -1512,7 +1124,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Ring(3));
         let ts = exchange_traces(3);
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 16);
+        let sh = run(cfg, &ts, ProbeHandle::disabled(), 16).0;
         assert_identical(&serial, &sh);
     }
 
@@ -1535,7 +1147,7 @@ mod tests {
             config_hash: "00000000deadbeef".into(),
             write: &write,
         };
-        let (r, _) = run_checkpointed(
+        let (r, _) = run_comm(
             cfg,
             ts,
             ProbeHandle::disabled(),
@@ -1580,7 +1192,7 @@ mod tests {
         for file in &files {
             let snap = Snapshot::parse(file).expect("own capture parses");
             // Restore into a sharded run…
-            let (sh, _) = run_checkpointed(
+            let (sh, _) = run_comm(
                 cfg,
                 &ts,
                 ProbeHandle::disabled(),
@@ -1592,7 +1204,7 @@ mod tests {
             .expect("restore succeeds");
             assert_identical(&plain, &sh);
             // …and into a serial one.
-            let (serial, _) = run_checkpointed(
+            let (serial, _) = run_comm(
                 cfg,
                 &ts,
                 ProbeHandle::disabled(),
@@ -1634,7 +1246,7 @@ mod tests {
             write: &write,
         };
         for shards in [1, 3] {
-            let err = run_checkpointed(
+            let err = run_comm(
                 cfg,
                 &ts,
                 ProbeHandle::disabled(),
@@ -1664,7 +1276,7 @@ mod tests {
                 write: &write,
             };
             let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-            let (r, _) = run_checkpointed(cfg, &ts, probe.clone(), shards, None, None, Some(&opts))
+            let (r, _) = run_comm(cfg, &ts, probe.clone(), shards, None, None, Some(&opts))
                 .expect("capture succeeds");
             let json = probe
                 .with_stack(|s| {
@@ -1685,7 +1297,7 @@ mod tests {
         // uninterrupted report.
         let snap = Snapshot::parse(&serial_files[0]).unwrap();
         let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-        let (r, _) = run_checkpointed(cfg, &ts, probe.clone(), 3, None, Some(&snap), None)
+        let (r, _) = run_comm(cfg, &ts, probe.clone(), 3, None, Some(&snap), None)
             .expect("restore succeeds");
         let json = probe
             .with_stack(|s| {
@@ -1707,7 +1319,7 @@ mod tests {
         assert!(snap.attribution.is_none());
         let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
         for shards in [1, 3] {
-            let err = run_checkpointed(cfg, &ts, probe.clone(), shards, None, Some(&snap), None)
+            let err = run_comm(cfg, &ts, probe.clone(), shards, None, Some(&snap), None)
                 .expect_err("a silent partial attribution report must be refused");
             assert!(err.to_string().contains("attribution"), "{err}");
         }

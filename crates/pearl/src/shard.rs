@@ -2,52 +2,50 @@
 //!
 //! A sharded run partitions the component graph across worker threads, each
 //! owning a private [`Engine`](crate::Engine). Threads advance in lock-step
-//! *windows*: every round, each shard publishes the timestamp of its next
-//! pending event, the shards agree on the global minimum `m`, and every shard
-//! then executes all events strictly before `m + L`, where `L` is the
-//! *lookahead* — a lower bound on the latency of any cross-shard interaction.
-//! Because an event executing at `t < m + L` can only schedule cross-shard
-//! work at `t' >= t + L >= m + L`, no shard can receive a message timestamped
-//! inside the window it is currently executing, so every shard sees exactly
-//! the events a single-threaded run would deliver, in the same order (given
+//! *windows*. Every round, each shard publishes a *promise* — a lower bound
+//! on the timestamp of any event it may still execute, normally its next
+//! pending event — and reads every peer's promise. Given a lower bound
+//! `L[j][i]` on the latency of any cross-shard effect from shard `j` to
+//! shard `i`, shard `i` may then execute every event before
+//! `min over j of (promise_j + L[j][i])`: no peer can send it a message
+//! timestamped inside that window, so every shard sees exactly the events a
+//! single-threaded run would deliver, in the same order (given
 //! deterministic [`EventKey`](crate::EventKey) tie-breaking).
 //!
-//! [`WindowBarrier`] is the agreement primitive: a pair of phase barriers plus
-//! a lock-free min-reduction slot per shard.
+//! [`WindowBarrier`] is the exchange primitive: one slot per shard plus the
+//! two rendezvous that make a round of
+//! [`publish_mins_timed`](WindowBarrier::publish_mins_timed) consistent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-
-use crate::time::Time;
 
 /// Sentinel published by a shard with no pending events (and no other
 /// future cross-shard obligations). Public so callers of
 /// [`WindowBarrier::publish_mins_timed`] can interpret raw slot values.
 pub const IDLE: u64 = u64::MAX;
 
-/// Barrier used by sharded runs to agree on the next window start.
+/// Barrier used by sharded runs to exchange window promises.
 ///
-/// Each round has two phases:
+/// One round is one [`publish_mins_timed`](WindowBarrier::publish_mins_timed)
+/// call per shard:
 ///
-/// 1. [`exchange`](WindowBarrier::exchange) — all shards rendezvous after
-///    flushing their cross-shard outboxes, so every in-flight message is
-///    visible in the destination shard's inbox before anyone computes its
-///    local minimum.
-/// 2. [`agree_min`](WindowBarrier::agree_min) — each shard publishes the
-///    timestamp of its earliest pending event (or "idle") and receives the
-///    global minimum across all shards. `None` means every shard is idle and
-///    the simulation has terminated.
+/// 1. each shard writes its promise into its own slot;
+/// 2. the `resolve` rendezvous: every slot of this round is written;
+/// 3. each shard reads every slot;
+/// 4. the round-closing `publish` rendezvous: every shard has finished
+///    reading, so a fast shard entering the next round cannot overwrite
+///    its slot while a slow peer still reads this round's values.
+///
+/// If every published value is [`IDLE`], every shard is idle and the
+/// simulation has terminated.
 ///
 /// Memory ordering: the per-shard slots are written and read with `Relaxed`
-/// ordering. This is sound because each min-exchange round is bracketed by
-/// `Barrier::wait` calls, which establish happens-before edges between every
-/// writer and every reader: a shard reads slot values only after the interior
-/// barrier, which all writers have passed; and a shard overwrites its slot in
-/// round *k+1* only after the round-closing rendezvous inside
-/// [`publish_mins_timed`](WindowBarrier::publish_mins_timed), which the
-/// round-*k* readers must also have passed.
-///
-/// [`exchange`]: WindowBarrier::exchange
+/// ordering. This is sound because `Barrier::wait` establishes
+/// happens-before edges between every writer and every reader: a shard
+/// reads slot values only after the `resolve` rendezvous, which all writers
+/// have passed; and a shard overwrites its slot in round *k+1* only after
+/// the round-*k* `publish` rendezvous, which all round-*k* readers have
+/// passed.
 pub struct WindowBarrier {
     shards: usize,
     mins: Vec<AtomicU64>,
@@ -72,69 +70,21 @@ impl WindowBarrier {
         self.shards
     }
 
-    /// Phase-1 rendezvous: blocks until all shards have arrived.
-    ///
-    /// Call after pushing this round's cross-shard messages into their
-    /// destination channels; on return, every message sent before any peer's
-    /// `exchange` call is available to its destination shard.
-    pub fn exchange(&self) {
-        self.publish.wait();
-    }
-
-    /// Phase-2 min-reduction: publish this shard's earliest pending event
-    /// time and return the global minimum across all shards.
-    ///
-    /// `local` is `None` when the shard has no pending events. Returns `None`
-    /// only when *every* shard is idle, i.e. the simulation has terminated.
-    pub fn agree_min(&self, shard: usize, local: Option<Time>) -> Option<Time> {
-        self.agree_min_timed(shard, local).0
-    }
-
-    /// [`agree_min`](WindowBarrier::agree_min) that also reports how long
-    /// this shard blocked waiting for its peers, in host nanoseconds.
-    ///
-    /// The wait time is host wall-clock — it varies run to run and between
-    /// machines, so it must never feed back into simulated state; it exists
-    /// purely for self-profiling (how much of a shard's life is barrier
-    /// overhead versus useful event execution).
-    pub fn agree_min_timed(&self, shard: usize, local: Option<Time>) -> (Option<Time>, u64) {
-        let mut all = Vec::with_capacity(self.shards);
-        let waited_ns = self.publish_mins_timed(shard, local.map_or(IDLE, |t| t.as_ps()), &mut all);
-        let min = all.iter().copied().min().unwrap_or(IDLE);
-        if min == IDLE {
-            (None, waited_ns)
-        } else {
-            (Some(Time::from_ps(min)), waited_ns)
-        }
-    }
-
-    /// Full min-exchange: publish this shard's earliest-obligation bound
-    /// (in raw picoseconds, [`IDLE`] when it has none) and fill `out` with
-    /// *every* shard's published value, indexed by shard id. Returns how
-    /// long this shard blocked waiting for its peers, in host nanoseconds.
-    ///
-    /// This is the primitive behind per-shard-*pair* window bounds: a
-    /// caller that knows a lower bound `L[j][i]` on the latency of any
-    /// cross-shard effect from shard `j` to shard `i` can widen its window
-    /// to `min over j != i of (out[j] + L[j][i])` instead of the global
-    /// minimum plus the global lookahead — see the sharded runner in the
-    /// network crate (DESIGN.md §17).
+    /// One full exchange round: publish this shard's promise (in raw
+    /// picoseconds, [`IDLE`] when it has none) and fill `out` with *every*
+    /// shard's published value, indexed by shard id. Returns how long this
+    /// shard blocked waiting for its peers, in host nanoseconds.
     ///
     /// The published value is a *promise*, not just a queue peek: a shard
     /// must publish a value `p` such that every event it will ever hand to
     /// shard `j` from now on arrives no earlier than `p + L[self][j]`.
-    /// Publishing the earliest pending event time satisfies this; a shard
-    /// that has run ahead speculatively must instead keep publishing the
-    /// floor it would publish conservatively (its queue head when the
-    /// speculation launched) — the sped-ahead queue head is not a floor,
-    /// since later arrivals can legally land below it.
+    /// Publishing the earliest pending event time satisfies this. The
+    /// network crate's sharded runner turns the slice into per-shard-pair
+    /// window bounds (DESIGN.md §17).
     ///
-    /// The same barrier memory-ordering argument as [`agree_min`]
-    /// (see the type-level docs) covers the whole-slice read: every slot
-    /// write happens-before the `resolve` rendezvous, which happens-before
-    /// every slot read.
-    ///
-    /// [`agree_min`]: WindowBarrier::agree_min
+    /// The wait time is host wall-clock — it varies run to run and between
+    /// machines, so it must never feed back into simulated state; it exists
+    /// purely for self-profiling.
     pub fn publish_mins_timed(&self, shard: usize, local_ps: u64, out: &mut Vec<u64>) -> u64 {
         self.mins[shard].store(local_ps, Ordering::Relaxed);
         let waited = std::time::Instant::now();
@@ -144,10 +94,7 @@ impl WindowBarrier {
         // Close the round before returning: without this rendezvous a fast
         // shard could re-enter and overwrite its slot for round k+1 while a
         // slow peer is still reading round k's values, handing the slow
-        // shard an inconsistent (future) minimum. `agree_min` historically
-        // relied on callers interposing `exchange()` between rounds;
-        // publish_mins_timed is called back-to-back, so it closes the round
-        // itself.
+        // shard an inconsistent (future) minimum.
         self.publish.wait();
         waited.elapsed().as_nanos() as u64
     }
@@ -156,157 +103,88 @@ impl WindowBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
     use std::thread;
 
-    #[test]
-    fn single_shard_agrees_with_itself() {
-        let b = WindowBarrier::new(1);
-        assert_eq!(
-            b.agree_min(0, Some(Time::from_ps(42))),
-            Some(Time::from_ps(42))
-        );
-        assert_eq!(b.agree_min(0, None), None);
-        assert_eq!(b.shards(), 1);
-    }
-
-    #[test]
-    fn min_reduction_across_threads() {
-        let b = WindowBarrier::new(4);
-        let locals = [Some(700u64), Some(300), None, Some(500)];
-        let (tx, rx) = mpsc::channel();
+    /// Run `rounds` back-to-back exchanges on `k` threads; shard `i`
+    /// publishes `value(round, i)`. Returns each shard's observed slices.
+    fn exchange_rounds(
+        k: usize,
+        rounds: u64,
+        value: impl Fn(u64, usize) -> u64 + Sync,
+    ) -> Vec<Vec<Vec<u64>>> {
+        let b = WindowBarrier::new(k);
         thread::scope(|s| {
-            for (i, l) in locals.iter().enumerate() {
-                let b = &b;
-                let tx = tx.clone();
-                s.spawn(move || {
-                    b.exchange();
-                    let got = b.agree_min(i, l.map(Time::from_ps));
-                    tx.send(got).unwrap();
-                });
-            }
-        });
-        drop(tx);
-        for got in rx {
-            assert_eq!(got, Some(Time::from_ps(300)));
-        }
-    }
-
-    #[test]
-    fn timed_variant_agrees_and_reports_a_wait() {
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
+            let handles: Vec<_> = (0..k)
                 .map(|i| {
-                    let b = &b;
-                    s.spawn(move || b.agree_min_timed(i, Some(Time::from_ps(100 + i as u64))))
+                    let (b, value) = (&b, &value);
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        (0..rounds)
+                            .map(|round| {
+                                b.publish_mins_timed(i, value(round, i), &mut out);
+                                out.clone()
+                            })
+                            .collect::<Vec<_>>()
+                    })
                 })
                 .collect();
-            for h in handles {
-                let (min, _waited_ns) = h.join().unwrap();
-                // Wait time is host wall-clock and may legitimately be 0ns
-                // on the last arrival; only the agreed minimum is checkable.
-                assert_eq!(min, Some(Time::from_ps(100)));
-            }
-        });
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn single_shard_sees_its_own_value() {
+        let seen = exchange_rounds(1, 2, |round, _| if round == 0 { 42 } else { IDLE });
+        assert_eq!(seen, vec![vec![vec![42], vec![IDLE]]]);
+        assert_eq!(WindowBarrier::new(1).shards(), 1);
     }
 
     #[test]
     fn publish_mins_returns_every_shards_value() {
-        let b = WindowBarrier::new(3);
         let locals = [400u64, 100, IDLE];
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        b.publish_mins_timed(i, locals[i], &mut out);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), vec![400, 100, IDLE]);
-            }
-        });
+        for per_shard in exchange_rounds(3, 1, |_, i| locals[i]) {
+            assert_eq!(per_shard, vec![vec![400, 100, IDLE]]);
+        }
     }
 
     #[test]
-    fn publish_mins_rounds_interleave_with_agree_min() {
-        // The two entry points share slots and barriers; mixing them
-        // across rounds must keep every shard's view consistent.
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..2u64)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        b.publish_mins_timed(i as usize, 10 + i, &mut out);
-                        assert_eq!(out, vec![10, 11]);
-                        let got = b.agree_min(i as usize, Some(Time::from_ps(20 + i)));
-                        assert_eq!(got, Some(Time::from_ps(20)));
-                        b.publish_mins_timed(i as usize, 30 + i, &mut out);
-                        assert_eq!(out, vec![30, 31]);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn all_idle_terminates() {
-        let b = WindowBarrier::new(3);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || b.agree_min(i, None))
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), None);
-            }
-        });
+    fn all_idle_is_visible_to_every_shard() {
+        for per_shard in exchange_rounds(3, 1, |_, _| IDLE) {
+            assert_eq!(per_shard, vec![vec![IDLE; 3]]);
+        }
     }
 
     #[test]
     fn repeated_rounds_reuse_slots() {
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let h0 = {
-                let b = &b;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..10u64 {
-                        b.exchange();
-                        out.push(b.agree_min(0, Some(Time::from_ps(round * 10 + 5))));
-                    }
-                    out
-                })
-            };
-            let h1 = {
-                let b = &b;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..10u64 {
-                        b.exchange();
-                        out.push(b.agree_min(1, Some(Time::from_ps(round * 10 + 7))));
-                    }
-                    out
-                })
-            };
-            let a = h0.join().unwrap();
-            let c = h1.join().unwrap();
-            for (round, (x, y)) in a.iter().zip(c.iter()).enumerate() {
-                let want = Some(Time::from_ps(round as u64 * 10 + 5));
-                assert_eq!(*x, want);
-                assert_eq!(*y, want);
+        // Back-to-back rounds with no other synchronisation between them:
+        // each round's slice must be exactly that round's values — a fast
+        // shard's next-round write must never leak into a slow peer's read.
+        let value = |round: u64, i: usize| round * 10 + 5 + 2 * i as u64;
+        for per_shard in exchange_rounds(2, 50, value) {
+            for (round, slice) in per_shard.iter().enumerate() {
+                let round = round as u64;
+                assert_eq!(slice, &vec![value(round, 0), value(round, 1)]);
             }
-        });
+        }
+    }
+
+    #[test]
+    fn back_to_back_rounds_on_many_shards_stay_exact() {
+        // Uneven per-shard values (one shard idle on odd rounds) across
+        // four threads: every shard sees every round's exact slice.
+        let value = |round: u64, i: usize| {
+            if i == 3 && round % 2 == 1 {
+                IDLE
+            } else {
+                1_000 * round + 7 * i as u64
+            }
+        };
+        for per_shard in exchange_rounds(4, 40, value) {
+            for (round, slice) in per_shard.iter().enumerate() {
+                let round = round as u64;
+                let want: Vec<u64> = (0..4).map(|i| value(round, i)).collect();
+                assert_eq!(slice, &want, "round {round}");
+            }
+        }
     }
 }

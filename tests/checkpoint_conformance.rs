@@ -178,77 +178,6 @@ fn serial_and_sharded_captures_write_identical_snapshot_files() {
     }
 }
 
-/// Speculative windows are a scheduling policy, not a model change:
-/// sharded restores under `--speculate on`, `off`, and a forced
-/// threshold all reproduce the uninterrupted serial output byte for
-/// byte — healthy and faulty alike — and a speculative sharded capture
-/// writes the same snapshot files as a conservative serial one.
-#[test]
-fn speculative_sharded_runs_conform_byte_for_byte() {
-    for faults in [None, Some("link:0-1:2000:400000; drop:20000")] {
-        let base = base_args("torus:4x2", "all2all", faults);
-        let straight = run(&base).unwrap();
-        let dir = temp_dir(&format!("spec-{}", faults.is_some()));
-        let snaps = capture(&base, &dir, false);
-        let mid = &snaps[snaps.len() / 2];
-        for policy in ["on", "off", "1000000000"] {
-            let mut args = base.clone();
-            args.extend(s(&[
-                "--restore",
-                mid.to_str().unwrap(),
-                "--shards",
-                "3",
-                "--speculate",
-                policy,
-            ]));
-            assert_eq!(
-                straight,
-                run(&args).unwrap(),
-                "--speculate {policy} restore diverged (faults: {faults:?})"
-            );
-        }
-
-        // Capture pass under forced speculation: instants and bytes must
-        // match the conservative serial capture exactly.
-        let d2 = temp_dir(&format!("spec-cap-{}", faults.is_some()));
-        let mut cap = base.clone();
-        cap.extend(s(&[
-            "--checkpoint-every",
-            "200000",
-            "--checkpoint-dir",
-            d2.to_str().unwrap(),
-            "--shards",
-            "3",
-            "--speculate",
-            "1000000000",
-        ]));
-        run(&cap).unwrap();
-        let mut spec_files: Vec<PathBuf> = std::fs::read_dir(&d2)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-            .collect();
-        spec_files.sort();
-        let names = |v: &[PathBuf]| -> Vec<String> {
-            v.iter()
-                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-                .collect()
-        };
-        assert_eq!(names(&snaps), names(&spec_files), "capture instants differ");
-        for (a, b) in snaps.iter().zip(&spec_files) {
-            assert_eq!(
-                std::fs::read_to_string(a).unwrap(),
-                std::fs::read_to_string(b).unwrap(),
-                "{} differs between conservative and speculative capture",
-                a.file_name().unwrap().to_string_lossy()
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&d2).ok();
-    }
-}
-
 /// Attribution state rides in the snapshot: a restored run's
 /// `attribution.json` is byte-identical to the uninterrupted run's.
 #[test]

@@ -14,8 +14,7 @@
 use std::sync::Arc;
 
 use mermaid_network::{
-    run_sharded_with_faults, CommResult, CommSim, FaultSchedule, NetworkConfig, RetryParams,
-    Topology,
+    run_comm, CommResult, CommSim, FaultSchedule, NetworkConfig, RetryParams, Topology,
 };
 use mermaid_ops::TraceSet;
 use mermaid_probe::{canonical_sort, ProbeHandle, ProbeStack, SimEvent};
@@ -60,7 +59,16 @@ fn run_shards(
     shards: usize,
 ) -> (CommResult, Vec<SimEvent>) {
     let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-    let r = run_sharded_with_faults(cfg, ts, probe.clone(), shards, Some(Arc::clone(faults)));
+    let (r, _) = run_comm(
+        cfg,
+        ts,
+        probe.clone(),
+        shards,
+        Some(Arc::clone(faults)),
+        None,
+        None,
+    )
+    .expect("a run without checkpoint options cannot fail");
     (r, probe.take_buffer().unwrap())
 }
 
@@ -108,51 +116,6 @@ fn sharded_faulty_runs_are_bit_identical_across_topologies() {
                 "{topo:?} × {pattern:?}: schedule injected nothing"
             );
         }
-    }
-}
-
-/// Forced speculative windows under an eventful fault schedule: rollback
-/// re-execution must reproduce fault state (retry timers, drop/corrupt
-/// RNG draws) exactly, so results and probe streams stay bit-identical
-/// to the serial run.
-#[test]
-fn forced_speculation_is_bit_identical_under_faults() {
-    use mermaid_network::{run_checkpointed_with, Speculation};
-
-    let topo = Topology::Torus2D { w: 4, h: 2 };
-    let ts = traces(topo.nodes(), CommPattern::AllToAll, 17);
-    let faults = eventful_schedule(7);
-    let (serial, serial_stream) = run_serial(NetworkConfig::test(topo), &ts, &faults);
-    assert!(
-        serial.total_dropped > 0 || serial.total_retries > 0,
-        "schedule injected nothing"
-    );
-    for policy in [
-        Speculation::Off,
-        Speculation::Threshold(pearl::Duration::from_ps(1_000_000_000)),
-    ] {
-        let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let (r, _) = run_checkpointed_with(
-            NetworkConfig::test(topo),
-            &ts,
-            probe.clone(),
-            3,
-            Some(Arc::clone(&faults)),
-            None,
-            None,
-            policy,
-        )
-        .expect("a run without checkpoint options cannot fail");
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{r:?}"),
-            "{policy:?} results diverged under faults"
-        );
-        assert_eq!(
-            serial_stream,
-            probe.take_buffer().unwrap(),
-            "{policy:?} probe streams diverged under faults"
-        );
     }
 }
 
@@ -269,7 +232,16 @@ fn disabled_fault_layer_is_bit_identical_to_the_plain_path() {
     let plain = CommSim::new_with_probe(NetworkConfig::test(topo), &ts, plain_probe.clone()).run();
 
     let off_probe = ProbeHandle::new(ProbeStack::new().with_jsonl());
-    let off = run_sharded_with_faults(NetworkConfig::test(topo), &ts, off_probe.clone(), 1, None);
+    let (off, _) = run_comm(
+        NetworkConfig::test(topo),
+        &ts,
+        off_probe.clone(),
+        1,
+        None,
+        None,
+        None,
+    )
+    .expect("a run without checkpoint options cannot fail");
 
     assert_eq!(format!("{plain:?}"), format!("{off:?}"));
     assert_eq!(plain_probe.jsonl_output(), off_probe.jsonl_output());

@@ -385,7 +385,7 @@ proptest! {
     ) {
         use std::sync::{Arc, Mutex};
         use mermaid_network::{
-            run_checkpointed, CheckpointOpts, FaultSchedule, NetworkConfig, RetryParams,
+            run_comm, CheckpointOpts, FaultSchedule, NetworkConfig, RetryParams,
             Snapshot,
         };
         use mermaid_ops::TraceSet;
@@ -414,7 +414,7 @@ proptest! {
             )
         });
 
-        let (straight, _) = run_checkpointed(
+        let (straight, _) = run_comm(
             cfg, &ts, ProbeHandle::disabled(), 1, faults.clone(), None, None,
         )
         .unwrap();
@@ -431,7 +431,7 @@ proptest! {
             config_hash: "prop".into(),
             write: &keep,
         };
-        run_checkpointed(
+        run_comm(
             cfg, &ts, ProbeHandle::disabled(), 1, faults.clone(), None, Some(&ck),
         )
         .unwrap();
@@ -439,7 +439,7 @@ proptest! {
         prop_assert!(!snaps.is_empty(), "cadence produced no checkpoint");
         let snap = &snaps[pick_raw % snaps.len()];
 
-        let (restored, _) = run_checkpointed(
+        let (restored, _) = run_comm(
             cfg, &ts, ProbeHandle::disabled(), restore_shards, faults, Some(snap), None,
         )
         .unwrap();
@@ -476,7 +476,7 @@ proptest! {
         pairs in prop::collection::vec((0u32..8, 0u32..8, 64u32..4_096), 1..12)
     ) {
         use std::sync::Mutex;
-        use mermaid_network::{run_checkpointed, CheckpointOpts, NetworkConfig, Snapshot};
+        use mermaid_network::{run_comm, CheckpointOpts, NetworkConfig, Snapshot};
         use mermaid_ops::TraceSet;
         use mermaid_probe::ProbeHandle;
         use pearl::Duration;
@@ -505,7 +505,7 @@ proptest! {
             config_hash: "prop".into(),
             write: &keep,
         };
-        run_checkpointed(cfg, &ts, ProbeHandle::disabled(), 1, None, None, Some(&ck)).unwrap();
+        run_comm(cfg, &ts, ProbeHandle::disabled(), 1, None, None, Some(&ck)).unwrap();
         let snaps = snaps.into_inner().unwrap();
         prop_assume!(!snaps.is_empty());
         let text = snaps[cut_raw % snaps.len()].to_file_string();
