@@ -1631,6 +1631,8 @@ mod tests {
             "drop:2000000",      // rate above 1.0
             "drop:100000;cap:0", // every retry at one instant
             "recv-timeout:0",    // every blocking receive abandoned at once
+            // 2^64/1000 ns overflows the ps clock (it used to wrap to 384 ps)
+            "drop:1000;timeout:18446744073709552",
         ] {
             let err = run(&s(&[
                 "sim",

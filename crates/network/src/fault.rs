@@ -27,6 +27,7 @@ use crate::config::NetworkConfig;
 use crate::packet::Packet;
 use crate::topology::Topology;
 use mermaid_ops::NodeId;
+use pearl::time::PS_PER_NS;
 use pearl::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -351,9 +352,15 @@ impl FaultSchedule {
                 continue;
             }
             let parts: Vec<&str> = clause.split(':').map(str::trim).collect();
+            // Times are read in ns and stored in ps: reject any value whose
+            // ps form would overflow rather than let it wrap.
             let ns = |s: &str| -> Result<u64, String> {
-                s.parse::<u64>()
-                    .map_err(|_| format!("bad time `{s}` in fault clause `{clause}` (ns)"))
+                let n = s
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad time `{s}` in fault clause `{clause}` (ns)"))?;
+                n.checked_mul(PS_PER_NS).map(|_| n).ok_or_else(|| {
+                    format!("time `{s}` out of range in fault clause `{clause}` (ns)")
+                })
             };
             match parts[0] {
                 "link" => {
@@ -608,6 +615,36 @@ mod tests {
                 "`{bad}` must be rejected"
             );
         }
+    }
+
+    /// Every time-valued clause rejects a value whose picosecond form
+    /// overflows `u64`, instead of wrapping it to a tiny time, and still
+    /// accepts the largest value that fits.
+    #[test]
+    fn parse_rejects_times_that_overflow_picoseconds() {
+        let max_ns = u64::MAX / PS_PER_NS;
+        let too_big = max_ns + 1; // 18446744073709552
+        for clause in [
+            format!("link:0-1:{too_big}"),
+            format!("link:0-1:1000:{too_big}"),
+            format!("router:2:{too_big}"),
+            format!("router:2:1000:{too_big}"),
+            format!("timeout:{too_big}"),
+            format!("cap:{too_big}"),
+            format!("recv-timeout:{too_big}"),
+        ] {
+            let err = FaultSchedule::parse(&clause, 0, RetryParams::default())
+                .expect_err(&format!("`{clause}` must be rejected"));
+            assert!(err.contains("out of range"), "`{clause}`: {err}");
+        }
+        let s = FaultSchedule::parse(
+            &format!("link:0-1:{max_ns}; timeout:{max_ns}"),
+            0,
+            RetryParams::default(),
+        )
+        .unwrap();
+        assert_eq!(s.events()[0].at, Time::from_ns(max_ns));
+        assert_eq!(s.retry.base_timeout, Duration::from_ns(max_ns));
     }
 
     #[test]

@@ -453,8 +453,8 @@ fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), Snapshot
 /// a topology too small to split, or zero lookahead takes the serial
 /// [`CommSim`] path instead. With an enabled `probe`, a sharded run
 /// replays the merged per-shard event stream into it in canonical order;
-/// engine-internal events (queue depths, ladder-tier moves) are
-/// per-shard artifacts and are not reproduced.
+/// engine-internal events (queue depths) are per-shard artifacts and are
+/// not reproduced.
 ///
 /// Scripted fault events are self-events of the affected router, so each
 /// shard posts only its own nodes' events — in the same per-node order as

@@ -40,9 +40,9 @@
 //! * `event` records are sorted by `(time, key)` — the queue's delivery
 //!   order — so the file is canonical: capturing the same state twice,
 //!   or composing per-shard captures of a sharded run, yields the same
-//!   bytes. Ladder geometry (which tier an event happens to sit in) is
-//!   deliberately *not* captured; the queue rebuilds it on restore, and
-//!   only engine-internal probe events can observe the difference.
+//!   bytes. Queue storage layout (the payload slab slot an event happens
+//!   to sit in) is deliberately *not* captured; a restored queue assigns
+//!   fresh slots, and no output can observe the difference.
 //! * `end` guards against truncation that happens to preserve the body
 //!   hash line count.
 //!

@@ -1,6 +1,6 @@
 //! The discrete-event engine: components, events, and the main loop.
 
-use crate::probe::{EngineProbe, LadderStats};
+use crate::probe::EngineProbe;
 use crate::queue::{EventKey, EventQueue};
 use crate::time::{Duration, Time};
 
@@ -222,7 +222,6 @@ pub struct Engine<M: 'static, W: World<M> = BoxWorld<M>> {
     // Instrumentation hook. `None` (the default) costs one null-check per
     // delivered event; see `crate::probe`.
     probe: Option<Box<dyn EngineProbe>>,
-    last_ladder: LadderStats,
 }
 
 impl<M: 'static> Default for Engine<M> {
@@ -278,7 +277,6 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
             stop_requested: false,
             initialized: false,
             probe: None,
-            last_ladder: LadderStats::default(),
         }
     }
 
@@ -363,18 +361,12 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
     /// Attach an instrumentation probe (replacing any previous one). The
     /// probe only observes deliveries; it cannot alter the simulation.
     pub fn set_probe(&mut self, probe: Box<dyn EngineProbe>) {
-        self.last_ladder = self.queue.ladder_stats();
         self.probe = Some(probe);
     }
 
     /// Detach the current probe, if any, returning it to the caller.
     pub fn take_probe(&mut self) -> Option<Box<dyn EngineProbe>> {
         self.probe.take()
-    }
-
-    /// Ladder-tier transition counters of the underlying event queue.
-    pub fn ladder_stats(&self) -> LadderStats {
-        self.queue.ladder_stats()
     }
 
     /// The per-component push counters feeding the deterministic tie-break
@@ -385,8 +377,8 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
     }
 
     /// Non-destructive snapshot of every pending event, sorted by
-    /// `(time, key)` — the exact delivery order. Ladder geometry is not
-    /// captured (see `EventQueue::snapshot_events`).
+    /// `(time, key)` — the exact delivery order (see
+    /// `EventQueue::snapshot_events`).
     pub fn snapshot_pending(&self) -> Vec<PendingEvent<M>>
     where
         M: Clone,
@@ -441,20 +433,6 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         }
     }
 
-    /// Notify the attached probe of one delivery (and any ladder-counter
-    /// movement since the previous one). Caller has already checked that a
-    /// probe is attached.
-    fn probe_delivery(&mut self, now: Time, src: CompId, dst: CompId) {
-        let pending = self.queue.len();
-        let ladder = self.queue.ladder_stats();
-        let probe = self.probe.as_mut().expect("probe_delivery without probe");
-        if ladder != self.last_ladder {
-            self.last_ladder = ladder;
-            probe.ladder(now, ladder);
-        }
-        probe.delivered(now, src, dst, pending);
-    }
-
     /// Run `init` on every component that has not been initialised yet.
     fn ensure_init(&mut self) {
         if self.initialized {
@@ -483,8 +461,8 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         debug_assert!(time >= self.now, "event queue returned a past event");
         self.now = time;
         self.events_processed += 1;
-        if self.probe.is_some() {
-            self.probe_delivery(time, qe.src, qe.dst);
+        if let Some(probe) = self.probe.as_mut() {
+            probe.delivered(time, qe.src, qe.dst, self.queue.len());
         }
         let mut ctx = Ctx {
             now: time,
@@ -571,8 +549,8 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
                 loop {
                     self.events_processed += 1;
                     remaining -= 1;
-                    if self.probe.is_some() {
-                        self.probe_delivery(t, qe.src, dst);
+                    if let Some(probe) = self.probe.as_mut() {
+                        probe.delivered(t, qe.src, dst, self.queue.len());
                     }
                     let mut ctx = Ctx {
                         now: t,
@@ -926,14 +904,13 @@ mod tests {
     /// order, and observing does not change what the simulation computes.
     #[test]
     fn probe_sees_every_delivery_without_perturbing_the_run() {
-        use crate::probe::{EngineProbe, LadderStats};
+        use crate::probe::EngineProbe;
         use std::cell::RefCell;
         use std::rc::Rc;
 
         #[derive(Default)]
         struct Recorder {
             deliveries: Vec<(Time, CompId, CompId, usize)>,
-            ladder_calls: u64,
         }
         struct Fwd(Rc<RefCell<Recorder>>);
         impl EngineProbe for Fwd {
@@ -942,9 +919,6 @@ mod tests {
                     .borrow_mut()
                     .deliveries
                     .push((now, src, dst, pending));
-            }
-            fn ladder(&mut self, _now: Time, _stats: LadderStats) {
-                self.0.borrow_mut().ladder_calls += 1;
             }
         }
 

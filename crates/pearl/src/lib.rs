@@ -56,7 +56,7 @@ pub mod time;
 
 pub use engine::{BoxWorld, CompId, Component, Ctx, Engine, Event, PendingEvent, RunResult, World};
 pub use hash::{FastHashMap, FastHashSet};
-pub use probe::{EngineProbe, LadderStats};
+pub use probe::EngineProbe;
 pub use queue::{EventKey, EventQueue};
 pub use shard::{WindowBarrier, IDLE as IDLE_PS};
 pub use time::{Duration, Frequency, Time};

@@ -1,39 +1,38 @@
-//! Property coverage for the two-tier event queue: its pop sequence must
-//! be indistinguishable from the plain stable binary heap it replaced,
-//! under arbitrary interleavings of pushes (at every tier distance) and
-//! pops.
+//! Property coverage for the event queue: in both tie-break regimes its
+//! pop sequence must be indistinguishable from a plain binary heap over
+//! the same `(time, key)` pairs, under arbitrary interleavings of pushes
+//! (near and far ahead) and pops.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use pearl::{EventQueue, Time};
+use pearl::{EventKey, EventQueue, Time};
 use proptest::prelude::*;
 
 /// One step of a queue workout.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Push at an absolute time (picked from several magnitude bands so
-    /// the current window, the buckets, and the far heap all see traffic).
+    /// Push at an absolute time (picked from several magnitude bands, so
+    /// the pending set mixes dense ties with far-future outliers).
     Push(u64),
     Pop,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        // Dense near-term times: lots of ties, current-window hits.
+        // Dense near-term times: lots of ties.
         (0u64..50).prop_map(Op::Push),
-        // Bucket-scale spread.
+        // Moderate spread.
         (0u64..1_000_000).prop_map(Op::Push),
-        // Far-future outliers that force rebases.
+        // Far-future outliers.
         (0u64..1u64 << 50).prop_map(Op::Push),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
 }
 
-/// The replaced scheduler, as the oracle: a max-heap of inverted
-/// `(time, seq)` keys pops in exactly the stable order the event core
-/// guarantees.
+/// The oracle: a max-heap of inverted `(time, seq)` keys pops in exactly
+/// the stable order the event core guarantees.
 #[derive(Default)]
 struct StableHeap {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
@@ -92,10 +91,10 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Same-time pushes pop strictly FIFO regardless of how many rebases
-    /// and window advances happen in between.
+    /// Same-time pushes pop strictly FIFO, however many distinct instants
+    /// are pending alongside them.
     #[test]
-    fn ties_stay_fifo_across_tiers(
+    fn ties_stay_fifo(
         times in prop::collection::vec(0u64..1_000, 1..200),
         dup in 2usize..5,
     ) {
@@ -120,5 +119,120 @@ proptest! {
             last = Some(key);
         }
         prop_assert!(q.is_empty());
+    }
+}
+
+/// One step of a keyed-regime workout.
+#[derive(Debug, Clone, Copy)]
+enum KeyedOp {
+    /// Push at `time` with the key `(push_ps, src, seq)`.
+    Push(u64, u64, u32, u64),
+    Pop,
+    /// Compare `snapshot_events()` against the oracle's pending set.
+    Snapshot,
+}
+
+fn keyed_op_strategy() -> impl Strategy<Value = KeyedOp> {
+    // Narrow ranges on every field force time ties and repeated
+    // `push_ps`/`src`, so ordering falls through to the later key fields.
+    let push = |times: std::ops::Range<u64>| {
+        (times, 0u64..4, 0u32..3, 0u64..1_000).prop_map(|(t, p, s, q)| KeyedOp::Push(t, p, s, q))
+    };
+    prop_oneof![
+        push(0..8),
+        push(0..8),
+        push(0..1u64 << 40),
+        Just(KeyedOp::Pop),
+        Just(KeyedOp::Pop),
+        Just(KeyedOp::Snapshot),
+    ]
+}
+
+/// The keyed regime's oracle: a plain heap over inverted `(time, key)`.
+type KeyedOracle = BinaryHeap<Reverse<(u64, EventKey)>>;
+
+/// Run `ops` against both the queue and the oracle. Pushes whose
+/// `(time, key)` is already pending are skipped: the engine never issues
+/// one (keys embed a per-component counter), and the queue's order is
+/// only defined over unique keys. The payload is the pair itself, so a
+/// pop that broke a tie wrongly is caught by value.
+fn run_keyed(
+    q: &mut EventQueue<(u64, EventKey)>,
+    oracle: &mut KeyedOracle,
+    ops: &[KeyedOp],
+) -> Result<(), TestCaseError> {
+    for &op in ops {
+        match op {
+            KeyedOp::Push(t, push_ps, src, seq) => {
+                let key = EventKey { push_ps, src, seq };
+                if oracle.iter().any(|Reverse(e)| *e == (t, key)) {
+                    continue;
+                }
+                oracle.push(Reverse((t, key)));
+                q.push_keyed(Time::from_ps(t), key, (t, key));
+            }
+            KeyedOp::Pop => {
+                let expect = oracle
+                    .pop()
+                    .map(|Reverse((t, key))| (Time::from_ps(t), (t, key)));
+                prop_assert_eq!(q.pop(), expect);
+            }
+            KeyedOp::Snapshot => {
+                let mut pending: Vec<(u64, EventKey)> =
+                    oracle.iter().map(|Reverse(e)| *e).collect();
+                pending.sort();
+                let want: Vec<(Time, EventKey, (u64, EventKey))> = pending
+                    .into_iter()
+                    .map(|(t, key)| (Time::from_ps(t), key, (t, key)))
+                    .collect();
+                prop_assert_eq!(q.snapshot_events(), want);
+            }
+        }
+        prop_assert_eq!(q.len(), oracle.len());
+        prop_assert_eq!(
+            q.peek_time(),
+            oracle.peek().map(|Reverse((t, _))| Time::from_ps(*t))
+        );
+    }
+    Ok(())
+}
+
+/// Drain both queues, asserting every pop agrees.
+fn drain_keyed(
+    q: &mut EventQueue<(u64, EventKey)>,
+    oracle: &mut KeyedOracle,
+) -> Result<(), TestCaseError> {
+    while let Some(Reverse((t, key))) = oracle.pop() {
+        prop_assert_eq!(q.pop(), Some((Time::from_ps(t), (t, key))));
+    }
+    prop_assert_eq!(q.pop(), None);
+    prop_assert!(q.is_empty());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The keyed regime the engine uses: every pop, peek and snapshot
+    /// agrees with a plain heap over `(time, key)` while pops interleave
+    /// with pushes (so freed payload slots are reused), and a cleared
+    /// queue reused for a second workout still pops in order.
+    #[test]
+    fn keyed_pops_match_heap_oracle(
+        ops in prop::collection::vec(keyed_op_strategy(), 0..400),
+        after_clear in prop::collection::vec(keyed_op_strategy(), 0..100),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle = KeyedOracle::new();
+        run_keyed(&mut q, &mut oracle, &ops)?;
+        drain_keyed(&mut q, &mut oracle)?;
+
+        // Refill, clear mid-flight, and reuse.
+        run_keyed(&mut q, &mut oracle, &ops)?;
+        q.clear();
+        oracle.clear();
+        prop_assert!(q.is_empty());
+        run_keyed(&mut q, &mut oracle, &after_clear)?;
+        drain_keyed(&mut q, &mut oracle)?;
     }
 }

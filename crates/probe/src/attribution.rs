@@ -407,7 +407,7 @@ mod snapshot_tests {
 
 impl Probe for AttributionSink {
     fn record(&mut self, ev: &SimEvent) {
-        // Engine-internal events (scheduler deliveries, ladder moves)
+        // Engine-internal events (scheduler deliveries)
         // describe the simulator, not the simulated machine — no fold
         // below matches them, and skipping them entirely keeps the sink's
         // state (including the `finish_ps` fallback horizon) identical

@@ -10,7 +10,7 @@
 //!
 //! | pid | process        | tracks                                        |
 //! |-----|----------------|-----------------------------------------------|
-//! | 1   | `engine`       | queue-depth counter, ladder-tier instants     |
+//! | 1   | `engine`       | queue-depth counter                           |
 //! | 2   | `network`      | per-node activation spans + message instants  |
 //! | 3   | `links`        | per-node outgoing-link busy spans             |
 //! | 4   | `memory`       | per-node cache instants + bus tenure spans    |
@@ -161,10 +161,6 @@ impl Probe for ChromeTraceSink {
                         pending as f64,
                     );
                 }
-            }
-            SimEvent::QueueTier { ts_ps, kind, total } => {
-                let args = Value::Map(vec![kv("total", u(total))]);
-                self.instant(kind.label(), ts_ps, PID_ENGINE, 0, args);
             }
             SimEvent::Activation {
                 node,
@@ -500,7 +496,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActKind, TierMove};
+    use crate::ActKind;
 
     #[test]
     fn trace_round_trips_and_validates() {
@@ -524,19 +520,14 @@ mod tests {
             bytes: 128,
             latency_ps: 8_000,
         });
-        sink.record(&SimEvent::QueueTier {
-            ts_ps: 9_500,
-            kind: TierMove::Rebase,
-            total: 1,
-        });
         let json = sink.to_json();
         let s = validate_chrome_trace(&json).expect("emitted trace must validate");
         assert_eq!(s.metadata, 4);
         assert_eq!(s.spans, 1);
         assert_eq!(s.counters, 1, "first delivery samples the depth counter");
-        assert_eq!(s.instants, 2);
+        assert_eq!(s.instants, 1);
         assert_eq!(s.delivered_messages, Some(1));
-        assert_eq!(s.finish_ps, Some(9_500));
+        assert_eq!(s.finish_ps, Some(9_000));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use jsonl::JsonlSink;
 pub use metrics::{MetricsAggregator, MetricsReport};
 pub use profile::{HostProfile, SelfProfiler};
 
-use pearl::probe::{EngineProbe, LadderStats};
+use pearl::probe::EngineProbe;
 use pearl::{CompId, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -155,28 +155,6 @@ impl DropReason {
     }
 }
 
-/// Which ladder tier transition the event queue performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TierMove {
-    /// A bucket was promoted wholesale into the current-window heap.
-    Promotion,
-    /// A new epoch was rebased from the far heap.
-    Rebase,
-    /// A small far set was drained via the plain-heap fallback.
-    FarDrain,
-}
-
-impl TierMove {
-    /// Stable lower-case label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TierMove::Promotion => "promotion",
-            TierMove::Rebase => "rebase",
-            TierMove::FarDrain => "far_drain",
-        }
-    }
-}
-
 /// One structured observation from a running simulation.
 ///
 /// All times are virtual picoseconds (`pearl::Time`); node/cpu indices
@@ -191,13 +169,6 @@ pub enum SimEvent {
         src: CompId,
         dst: CompId,
         pending: usize,
-    },
-    /// The event queue moved between ladder tiers; `total` is the new
-    /// monotone count for this transition kind.
-    QueueTier {
-        ts_ps: u64,
-        kind: TierMove,
-        total: u64,
     },
     /// A processor activation span (paper: component activity over time).
     Activation {
@@ -334,7 +305,6 @@ impl SimEvent {
     pub fn label(&self) -> &'static str {
         match self {
             SimEvent::EngineDelivery { .. } => "engine_delivery",
-            SimEvent::QueueTier { .. } => "queue_tier",
             SimEvent::Activation { .. } => "activation",
             SimEvent::MsgSend { .. } => "msg_send",
             SimEvent::MsgDeliver { .. } => "msg_deliver",
@@ -356,16 +326,12 @@ impl SimEvent {
     }
 
     /// True for events describing the *engine's* internals (delivery
-    /// bookkeeping, ladder-tier moves) rather than the simulated machine.
-    /// Sharded runs cannot reproduce these bit-for-bit — queue depths and
-    /// tier transitions are per-shard artifacts — so sharded probe merging
-    /// carries model-level events only (see `mermaid-network`'s sharded
-    /// runner and DESIGN.md §11).
+    /// bookkeeping) rather than the simulated machine. Sharded runs cannot
+    /// reproduce these bit-for-bit — queue depths are per-shard artifacts —
+    /// so sharded probe merging carries model-level events only (see
+    /// `mermaid-network`'s sharded runner and DESIGN.md §11).
     pub fn is_engine_internal(&self) -> bool {
-        matches!(
-            self,
-            SimEvent::EngineDelivery { .. } | SimEvent::QueueTier { .. }
-        )
+        matches!(self, SimEvent::EngineDelivery { .. })
     }
 
     /// The event's anchor timestamp in virtual picoseconds (span start
@@ -373,7 +339,6 @@ impl SimEvent {
     pub fn ts_ps(&self) -> u64 {
         match *self {
             SimEvent::EngineDelivery { ts_ps, .. }
-            | SimEvent::QueueTier { ts_ps, .. }
             | SimEvent::MsgSend { ts_ps, .. }
             | SimEvent::MsgDeliver { ts_ps, .. }
             | SimEvent::MsgPath { ts_ps, .. }
@@ -595,13 +560,12 @@ impl ProbeHandle {
     }
 
     /// An adapter implementing [`pearl::EngineProbe`] that forwards
-    /// engine deliveries and ladder transitions into this handle, or
-    /// `None` for a disabled handle.
+    /// engine deliveries into this handle, or `None` for a disabled
+    /// handle.
     pub fn engine_adapter(&self) -> Option<Box<dyn EngineProbe>> {
         self.inner.as_ref()?;
         Some(Box::new(EngineForwarder {
             handle: self.clone(),
-            last: LadderStats::default(),
         }))
     }
 
@@ -658,7 +622,6 @@ impl ProbeHandle {
 /// Forwards `pearl` engine hooks into a [`ProbeHandle`] as [`SimEvent`]s.
 struct EngineForwarder {
     handle: ProbeHandle,
-    last: LadderStats,
 }
 
 impl EngineProbe for EngineForwarder {
@@ -669,32 +632,6 @@ impl EngineProbe for EngineForwarder {
             dst,
             pending,
         });
-    }
-
-    fn ladder(&mut self, now: Time, stats: LadderStats) {
-        let ts_ps = now.as_ps();
-        if stats.promotions != self.last.promotions {
-            self.handle.emit(|| SimEvent::QueueTier {
-                ts_ps,
-                kind: TierMove::Promotion,
-                total: stats.promotions,
-            });
-        }
-        if stats.rebases != self.last.rebases {
-            self.handle.emit(|| SimEvent::QueueTier {
-                ts_ps,
-                kind: TierMove::Rebase,
-                total: stats.rebases,
-            });
-        }
-        if stats.far_drains != self.last.far_drains {
-            self.handle.emit(|| SimEvent::QueueTier {
-                ts_ps,
-                kind: TierMove::FarDrain,
-                total: stats.far_drains,
-            });
-        }
-        self.last = stats;
     }
 }
 
@@ -757,23 +694,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_adapter_translates_ladder_deltas() {
+    fn engine_adapter_forwards_deliveries() {
         let h = ProbeHandle::new(ProbeStack::new().with_jsonl());
         let mut fwd = h.engine_adapter().unwrap();
         fwd.delivered(Time::from_ps(10), 0, 1, 3);
-        fwd.ladder(
-            Time::from_ps(20),
-            LadderStats {
-                promotions: 2,
-                rebases: 1,
-                far_drains: 0,
-            },
-        );
         let out = h.jsonl_output().unwrap();
-        assert_eq!(out.lines().count(), 3, "delivery + two tier moves: {out}");
-        assert!(out.contains("promotion"));
-        assert!(out.contains("rebase"));
-        assert!(!out.contains("far_drain"));
+        assert_eq!(out.lines().count(), 1, "one delivery line: {out}");
+        assert!(out.contains("engine_delivery"));
     }
 
     #[test]
@@ -783,7 +710,6 @@ mod tests {
         assert_eq!(HitWhere::CacheToCache.label(), "cache_to_cache");
         assert!(HitWhere::Dram.is_miss());
         assert!(!HitWhere::L1.is_miss());
-        assert_eq!(TierMove::FarDrain.label(), "far_drain");
         let ev = SimEvent::Activation {
             node: 1,
             kind: ActKind::Compute,

@@ -7,7 +7,7 @@
 //! renders them as a [`MetricsReport`] (ASCII tables plus CSV through
 //! `stats::csv`).
 
-use crate::{Probe, SimEvent, TierMove};
+use crate::{Probe, SimEvent};
 use mermaid_stats::{chart, csv, Counters, Histogram, Table, TimeSeries, Utilization};
 use std::collections::BTreeMap;
 
@@ -22,7 +22,6 @@ pub struct MetricsAggregator {
     bus_util: BTreeMap<u32, Utilization>,
     queue_depth: TimeSeries,
     deliveries: u64,
-    last_tier: [u64; 3],
     finish_ps: u64,
 }
 
@@ -42,7 +41,6 @@ impl MetricsAggregator {
             bus_util: BTreeMap::new(),
             queue_depth: TimeSeries::new("queue_depth"),
             deliveries: 0,
-            last_tier: [0; 3],
             finish_ps: 0,
         }
     }
@@ -65,14 +63,6 @@ impl MetricsAggregator {
     /// The decimated engine queue-depth series.
     pub fn queue_depth(&self) -> &TimeSeries {
         &self.queue_depth
-    }
-
-    fn tier_index(kind: TierMove) -> usize {
-        match kind {
-            TierMove::Promotion => 0,
-            TierMove::Rebase => 1,
-            TierMove::FarDrain => 2,
-        }
     }
 
     /// Render the report. `horizon_ps` bounds utilisation fractions; pass
@@ -145,12 +135,6 @@ impl Probe for MetricsAggregator {
                 if self.deliveries % DEPTH_SAMPLE_EVERY == 1 {
                     self.queue_depth.push(ts_ps, pending as f64);
                 }
-            }
-            SimEvent::QueueTier { kind, total, .. } => {
-                let i = Self::tier_index(kind);
-                let delta = total.saturating_sub(self.last_tier[i]);
-                self.last_tier[i] = total;
-                self.counters.add(&format!("queue/{}", kind.label()), delta);
             }
             SimEvent::Activation {
                 node,
@@ -400,22 +384,6 @@ mod tests {
         assert!(csv.starts_with("counter,value\n"));
         assert!(csv.contains("node0/sends,1"));
         assert!(csv.contains("engine/deliveries,1"));
-    }
-
-    #[test]
-    fn tier_totals_become_deltas() {
-        let mut m = MetricsAggregator::new();
-        m.record(&SimEvent::QueueTier {
-            ts_ps: 1,
-            kind: TierMove::Promotion,
-            total: 3,
-        });
-        m.record(&SimEvent::QueueTier {
-            ts_ps: 2,
-            kind: TierMove::Promotion,
-            total: 5,
-        });
-        assert_eq!(m.counters().get("queue/promotion"), 5);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::time::Instant;
 fn category(ev: &SimEvent) -> &'static str {
     match ev {
         SimEvent::EngineDelivery { .. } => "engine",
-        SimEvent::QueueTier { .. } => "queue",
         SimEvent::Activation { .. }
         | SimEvent::MsgSend { .. }
         | SimEvent::MsgDeliver { .. }

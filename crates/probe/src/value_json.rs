@@ -52,11 +52,6 @@ pub(crate) fn event_value(ev: &SimEvent) -> Value {
             m.push(kv("dst", u(dst as u64)));
             m.push(kv("pending", u(pending as u64)));
         }
-        SimEvent::QueueTier { ts_ps, kind, total } => {
-            m.push(kv("ts_ps", u(ts_ps)));
-            m.push(kv("kind", s(kind.label())));
-            m.push(kv("total", u(total)));
-        }
         SimEvent::Activation {
             node,
             kind,

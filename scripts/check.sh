@@ -16,10 +16,10 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> unit tests: event kernel, network model, workbench core"
-# The window-barrier, sharded-runner and CLI unit tests live in member
-# crates, which the root-package `cargo test -q` does not run.
-cargo test -q -p pearl -p mermaid-network -p mermaid
+echo "==> unit tests: event kernel, network model, workbench core, probe sinks"
+# The window-barrier, sharded-runner, CLI and probe-sink unit tests live
+# in member crates, which the root-package `cargo test -q` does not run.
+cargo test -q -p pearl -p mermaid-network -p mermaid -p mermaid-probe
 
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null
@@ -94,7 +94,8 @@ grep -q "Degraded mode:" "$serial_out" \
     || { echo "degraded-mode report missing for permanent partition" >&2; exit 1; }
 
 echo "==> cli: bad fault specs fail cleanly (no panic)"
-for spec in "frob:1" "link:0-99:1000" "drop:2000000" "drop:100000;cap:0" "recv-timeout:0"; do
+for spec in "frob:1" "link:0-99:1000" "drop:2000000" "drop:100000;cap:0" "recv-timeout:0" \
+    "drop:1000;timeout:18446744073709552"; do
     if cargo run --release -p mermaid --bin mermaid-cli -- sim --machine test \
         --topology ring:4 --mode task --faults "$spec" > /dev/null 2>&1; then
         echo "fault spec $spec should have been rejected" >&2; exit 1
