@@ -535,6 +535,19 @@ impl CampaignSpec {
                     .map_err(|e| format!("campaign faults `{f}` is invalid for topo `{t}`: {e}"))?;
             }
         }
+        // Likewise each (pattern, topo) pairing: butterfly needs a
+        // power-of-two node count.
+        for p in &self.patterns {
+            for t in &self.topos {
+                let app = StochasticApp {
+                    pattern: parse_pattern(p)?,
+                    ..StochasticApp::scientific(parse_topology(t)?.nodes())
+                };
+                app.try_validate().map_err(|e| {
+                    format!("campaign pattern `{p}` is invalid for topo `{t}`: {e}")
+                })?;
+            }
+        }
         let mut runs = Vec::with_capacity(total.min(1 << 20));
         for machine in &self.machines {
             for topo in &self.topos {
@@ -1238,6 +1251,15 @@ mod tests {
         assert!(err.contains("mesh:2x2"), "{err}");
         // Rate-only faults combine with anything.
         let spec = CampaignSpec::parse("topo = ring:4, mesh:2x2; faults = drop:1000").unwrap();
+        assert_eq!(spec.expand().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn butterfly_needs_power_of_two_topologies() {
+        let spec = CampaignSpec::parse("topo = ring:4, ring:3; pattern = ring, butterfly").unwrap();
+        let err = spec.expand().unwrap_err();
+        assert!(err.contains("butterfly") && err.contains("ring:3"), "{err}");
+        let spec = CampaignSpec::parse("topo = ring:4, mesh:2x2; pattern = butterfly").unwrap();
         assert_eq!(spec.expand().unwrap().len(), 2);
     }
 

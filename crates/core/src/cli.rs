@@ -427,6 +427,7 @@ fn build_generator(o: &Opts, nodes: u32) -> Result<StochasticGenerator, String> 
         pattern: parse_pattern(o.pattern.as_deref().unwrap_or("ring"))?,
         ..StochasticApp::scientific(nodes)
     };
+    app.try_validate()?;
     Ok(StochasticGenerator::new(app, o.seed.unwrap_or(1)))
 }
 
@@ -1649,6 +1650,49 @@ mod tests {
             ]))
             .expect_err(&format!("`{spec}` should be rejected"));
             assert!(!err.is_empty());
+        }
+    }
+
+    #[test]
+    fn butterfly_on_non_power_of_two_nodes_is_an_error_not_a_panic() {
+        for args in [
+            &[
+                "sim",
+                "--machine",
+                "test",
+                "--topology",
+                "ring:3",
+                "--pattern",
+                "butterfly",
+            ][..],
+            &[
+                "sim",
+                "--machine",
+                "test",
+                "--topology",
+                "ring:3",
+                "--mode",
+                "task",
+                "--pattern",
+                "butterfly",
+            ],
+            &[
+                "analyze",
+                "--machine",
+                "test",
+                "--topology",
+                "ring:6",
+                "--pattern",
+                "butterfly",
+            ],
+            &[
+                "campaign",
+                "topo = ring:3; pattern = butterfly",
+                "--dry-run",
+            ],
+        ] {
+            let err = run(&s(args)).expect_err(&format!("{args:?} should be rejected"));
+            assert!(err.contains("power-of-two"), "{args:?}: {err}");
         }
     }
 

@@ -11,9 +11,12 @@
 //! control flow never depends on message contents — it is fixed by the
 //! trace generator (which resolves all loops and branches). The
 //! computational phase of each node can therefore be simulated
-//! node-by-node (open loop) without loss of validity; what *does* depend
-//! on the architecture — the interleaving and timing of global events — is
-//! resolved afterwards by the communication model. Trace *generation*
+//! node-by-node (open loop) without loss of validity — and, since no
+//! node's model reads another's state, on all host cores at once
+//! (`HybridSim::run` fans the nodes out through `pearl::par` with
+//! bit-identical results); what *does* depend on the architecture — the
+//! interleaving and timing of global events — is resolved afterwards by
+//! the communication model. Trace *generation*
 //! still uses physical-time interleaving (see `mermaid-tracegen`) so that
 //! generating threads never run ahead of the simulator.
 
@@ -23,8 +26,9 @@ use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::{MemStats, MemSystemConfig};
 use mermaid_network::{run_comm, CommResult, FaultSchedule, ShardProfile};
 use mermaid_ops::{NodeId, Trace, TraceSet};
-use mermaid_probe::ProbeHandle;
+use mermaid_probe::{ProbeHandle, ProbeStack};
 use mermaid_tracegen::InterleavedTraceGen;
+use pearl::par::Delivery;
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
@@ -116,6 +120,13 @@ impl HybridSim {
 
     /// Run the detailed simulation over instruction-level traces (one per
     /// node).
+    ///
+    /// The per-node computational models run on all host cores (see the
+    /// module docs for why that is exact). A traced run gives each node a
+    /// private event buffer and replays the buffers into the attached
+    /// probe in node order, so the probe sees the same stream as a
+    /// one-node-at-a-time run; in-order delivery keeps at most one buffer
+    /// per worker alive, never the whole run's events.
     pub fn run(&self, traces: &TraceSet) -> HybridResult {
         assert_eq!(
             traces.nodes() as u32,
@@ -124,34 +135,44 @@ impl HybridSim {
             traces.nodes(),
             self.machine.nodes()
         );
-        let mut task_traces = Vec::with_capacity(traces.nodes());
-        let mut nodes = Vec::with_capacity(traces.nodes());
-        let mut ops_simulated = 0u64;
-        for trace in traces.iter() {
-            ops_simulated += trace.len() as u64;
-            let (task, stats) = self.extract_node(trace);
-            task_traces.push(task);
-            nodes.push(stats);
-        }
-        let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = run_comm(
-            self.machine.network,
-            &task_traces,
-            self.probe.clone(),
-            self.shards,
-            self.faults.clone(),
-            None,
-            None,
-        )
-        .expect("a run without checkpoint options cannot fail");
-        HybridResult {
-            predicted_time: comm.finish,
-            nodes,
-            task_traces,
-            comm,
-            ops_simulated,
-            shard_profile,
-        }
+        let cpu = self.machine.cpu;
+        let single = self.single_node_config();
+        let traced = self.probe.is_enabled();
+        let extracted = pearl::par::map(
+            traces.nodes(),
+            pearl::par::auto_workers(),
+            Delivery::InOrder,
+            |i| {
+                let trace = traces.trace(i as NodeId);
+                let mut sim = SingleNodeSim::new(cpu, single.clone());
+                let buffer = if traced {
+                    ProbeHandle::new(ProbeStack::new().with_buffer())
+                } else {
+                    ProbeHandle::disabled()
+                };
+                sim.set_probe(trace.node, buffer.clone());
+                let x = sim.extract_tasks(trace);
+                let stats = NodeComputeStats {
+                    node: trace.node,
+                    cpu: x.cpu_stats,
+                    mem: x.mem_stats,
+                    compute_total: x.compute_total,
+                };
+                (
+                    x.task_trace,
+                    stats,
+                    buffer.take_buffer().unwrap_or_default(),
+                )
+            },
+            |_, (_, _, events)| {
+                for ev in std::mem::take(events) {
+                    self.probe.replay(&ev);
+                }
+            },
+        );
+        let (task_traces, nodes): (Vec<Trace>, Vec<NodeComputeStats>) =
+            extracted.into_iter().map(|(t, s, _)| (t, s)).unzip();
+        self.finish(task_traces, nodes, traces.total_ops() as u64)
     }
 
     /// Run the detailed simulation *execution-driven*: pull operations from
@@ -206,6 +227,16 @@ impl HybridSim {
             });
             task_traces.push(task);
         }
+        self.finish(task_traces, nodes, ops_simulated)
+    }
+
+    /// Drive the communication model with the extracted task traces.
+    fn finish(
+        &self,
+        task_traces: Vec<Trace>,
+        nodes: Vec<NodeComputeStats>,
+        ops_simulated: u64,
+    ) -> HybridResult {
         let task_traces = TraceSet::from_traces(task_traces);
         let (comm, shard_profile) = run_comm(
             self.machine.network,
@@ -233,21 +264,6 @@ impl HybridSim {
         let mut cfg = self.machine.node_mem.clone();
         cfg.cpus = 1;
         cfg
-    }
-
-    fn extract_node(&self, trace: &Trace) -> (Trace, NodeComputeStats) {
-        let mut sim = SingleNodeSim::new(self.machine.cpu, self.single_node_config());
-        sim.set_probe(trace.node, self.probe.clone());
-        let x = sim.extract_tasks(trace);
-        (
-            x.task_trace,
-            NodeComputeStats {
-                node: trace.node,
-                cpu: x.cpu_stats,
-                mem: x.mem_stats,
-                compute_total: x.compute_total,
-            },
-        )
     }
 }
 
@@ -367,6 +383,78 @@ mod tests {
         let text = report.render();
         assert!(text.contains("engine/deliveries"), "{text}");
         assert!(text.contains("mem0/"), "{text}");
+    }
+
+    /// The detailed run done by hand, one node after another: each node's
+    /// computational model records straight into `probe`, then the task
+    /// traces drive the communication model.
+    fn serial_reference(
+        m: &MachineConfig,
+        traces: &TraceSet,
+        probe: ProbeHandle,
+    ) -> (TraceSet, Vec<NodeComputeStats>, Time) {
+        let mut single = m.node_mem.clone();
+        single.cpus = 1;
+        let mut tasks = Vec::new();
+        let mut stats = Vec::new();
+        for t in traces.iter() {
+            let mut sim = SingleNodeSim::new(m.cpu, single.clone());
+            sim.set_probe(t.node, probe.clone());
+            let x = sim.extract_tasks(t);
+            tasks.push(x.task_trace);
+            stats.push(NodeComputeStats {
+                node: t.node,
+                cpu: x.cpu_stats,
+                mem: x.mem_stats,
+                compute_total: x.compute_total,
+            });
+        }
+        let tasks = TraceSet::from_traces(tasks);
+        let finish = crate::TaskLevelSim::new(m.network)
+            .with_probe(probe)
+            .run(&tasks)
+            .predicted_time;
+        (tasks, stats, finish)
+    }
+
+    fn e1_like(seed: u64) -> (MachineConfig, TraceSet) {
+        let topo = Topology::Mesh2D { w: 4, h: 4 };
+        let app = StochasticApp {
+            phases: 2,
+            ops_per_phase: SizeDist::Uniform(200, 600),
+            pattern: CommPattern::AllToAll,
+            ..StochasticApp::scientific(16)
+        };
+        let traces = StochasticGenerator::new(app, seed).generate();
+        (MachineConfig::t805_multicomputer(topo), traces)
+    }
+
+    #[test]
+    fn parallel_extraction_matches_the_serial_node_loop() {
+        for seed in [1, 9] {
+            let (m, traces) = e1_like(seed);
+            let (tasks, stats, finish) = serial_reference(&m, &traces, ProbeHandle::disabled());
+            let r = HybridSim::new(m).run(&traces);
+            assert_eq!(r.task_traces, tasks);
+            assert_eq!(r.predicted_time, finish);
+            assert_eq!(format!("{:?}", r.nodes), format!("{stats:?}"));
+        }
+    }
+
+    #[test]
+    fn traced_parallel_extraction_replays_the_serial_probe_stream() {
+        let sinks = || ProbeHandle::new(ProbeStack::new().with_jsonl().with_metrics());
+        let (m, traces) = e1_like(4);
+        let reference = sinks();
+        let (_, _, finish) = serial_reference(&m, &traces, reference.clone());
+        let probe = sinks();
+        let r = HybridSim::new(m).with_probe(probe.clone()).run(&traces);
+        assert_eq!(r.predicted_time, finish);
+        let (want, got) = (reference.jsonl_output(), probe.jsonl_output());
+        assert!(want.as_ref().is_some_and(|j| j.contains("cache_access")));
+        assert!(want == got, "JSONL streams differ");
+        let render = |p: &ProbeHandle| p.metrics_report(finish.as_ps()).unwrap().render();
+        assert_eq!(render(&probe), render(&reference));
     }
 
     #[test]

@@ -3,19 +3,14 @@
 //! The workbench's core activity is scenario analysis: the same workload
 //! over a grid of candidate architectures. Individual simulations are
 //! deterministic and independent, so the grid is embarrassingly parallel —
-//! this module fans a sweep out over the host's cores with a simple shared
-//! work queue (std scoped threads; results keep the input order, so a
-//! parallel sweep is bit-identical to a serial one).
+//! this module fans a sweep out over the host's cores through
+//! [`pearl::par::map`] (results keep the input order, so a parallel sweep
+//! is bit-identical to a serial one). Detailed runs inside a sweep worker
+//! keep their per-node phases on that worker, so the sweep's worker count
+//! is the run's total thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// One worker thread per available host core (at least one).
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
+pub use pearl::par::auto_workers;
+use pearl::par::Delivery;
 
 /// Worker count for a sweep whose individual runs are themselves
 /// multi-threaded: caps `workers × max_shards` at the host core count so
@@ -43,64 +38,29 @@ where
 
 /// [`parallel_sweep`] with an explicit worker count and a streaming
 /// completion hook: `on_done(index, &result)` fires as each configuration
-/// finishes (in completion order, from whichever worker ran it), so long
-/// campaigns can persist results incrementally instead of waiting for the
-/// final barrier. `on_done` is serialised behind a lock — it never runs
-/// concurrently with itself — and the returned vector still preserves
-/// input order.
+/// finishes (in completion order), so long campaigns can persist results
+/// incrementally instead of waiting for the final barrier. `on_done` runs
+/// on the calling thread — never concurrently with itself — and the
+/// returned vector still preserves input order.
 pub fn parallel_sweep_streaming<C, T, F, S>(
     configs: Vec<C>,
     workers: usize,
     f: F,
-    on_done: S,
+    mut on_done: S,
 ) -> Vec<T>
 where
     C: Sync,
     T: Send,
     F: Fn(&C) -> T + Sync,
-    S: Fn(usize, &T) + Sync,
+    S: FnMut(usize, &T),
 {
-    let n = configs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        return configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let out = f(c);
-                on_done(i, &out);
-                out
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // std::thread::scope joins every worker on exit and re-raises the first
-    // worker panic, so panics in `f` propagate to the caller.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let out = f(&configs[i]);
-                {
-                    let _g = done.lock().unwrap();
-                    on_done(i, &out);
-                }
-                *slots[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("sweep slot unfilled"))
-        .collect()
+    pearl::par::map(
+        configs.len(),
+        workers,
+        Delivery::AsCompleted,
+        |i| f(&configs[i]),
+        |i, out| on_done(i, out),
+    )
 }
 
 /// Convenience: sweep labelled configurations and return `(label, value)`
@@ -240,5 +200,52 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn a_panicking_run_still_lets_every_other_run_stream() {
+        // Campaigns persist each run from `on_done`: one bad configuration
+        // must not cost the records of the runs nobody had claimed yet.
+        // Run 1 is held until the worker that panicked on run 0 has exited
+        // (its thread-local destructor is the signal), so every later run
+        // is claimed only after that panic has fully unwound.
+        use std::cell::RefCell;
+        use std::sync::{Arc, Barrier};
+        struct AtExit(Arc<Barrier>);
+        impl Drop for AtExit {
+            fn drop(&mut self) {
+                self.0.wait();
+            }
+        }
+        thread_local! {
+            static AT_EXIT: RefCell<Option<AtExit>> = const { RefCell::new(None) };
+        }
+        let both_claimed = Barrier::new(2);
+        let exited = Arc::new(Barrier::new(2));
+        let mut seen = Vec::new();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_sweep_streaming(
+                (0..40u32).collect(),
+                2,
+                |&x| {
+                    if x < 2 {
+                        both_claimed.wait();
+                    }
+                    if x == 0 {
+                        AT_EXIT.set(Some(AtExit(exited.clone())));
+                        panic!("bad configuration");
+                    }
+                    if x == 1 {
+                        exited.wait();
+                    }
+                    x
+                },
+                |i, _| seen.push(i),
+            )
+        }))
+        .unwrap_err();
+        assert_eq!(*err.downcast_ref::<&str>().unwrap(), "bad configuration");
+        seen.sort_unstable();
+        assert_eq!(seen, (1..40).collect::<Vec<_>>());
     }
 }

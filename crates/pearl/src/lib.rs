@@ -21,6 +21,8 @@
 //!   sharded run ([`shard`]) replays the exact single-threaded order.
 //! * [`Component`] — the object trait. A component receives events addressed
 //!   to it and may schedule further events through [`Ctx`].
+//! * [`par`] — the work-queue fan-out that spreads independent work
+//!   (sweep configurations, per-node model phases) over host cores.
 //! * [`sync`] — helpers for Pearl-style synchronous (rendezvous) messaging
 //!   on top of the asynchronous kernel.
 //!
@@ -48,6 +50,7 @@
 
 pub mod engine;
 pub mod hash;
+pub mod par;
 pub mod probe;
 pub mod queue;
 pub mod shard;

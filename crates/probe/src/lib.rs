@@ -518,7 +518,9 @@ impl Probe for ProbeStack {
 /// the per-emission cost of an untraced run is a single branch and the
 /// event closure is never evaluated. `Rc` (not `Arc`) is deliberate —
 /// simulations are single-threaded objects; `parallel_sweep` builds each
-/// sim inside its worker thread and never moves one across threads.
+/// sim inside its worker thread and never moves one across threads, and
+/// a detailed run's per-node workers record into their own handles whose
+/// buffers the calling thread replays (see `HybridSim::run`).
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
     inner: Option<Rc<RefCell<ProbeStack>>>,

@@ -83,22 +83,32 @@ impl InstructionMix {
 
     /// Validate that at least one class has weight.
     pub fn validate(&self) {
-        assert!(self.total() > 0.0, "instruction mix has zero total weight");
-        assert!(
-            [
-                self.load,
-                self.store,
-                self.load_const,
-                self.int_alu,
-                self.int_muldiv,
-                self.flt_alu,
-                self.flt_muldiv,
-                self.branch
-            ]
-            .iter()
-            .all(|&w| w >= 0.0),
-            "negative weight in instruction mix"
-        );
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// [`validate`](Self::validate) as a `Result`: the error names the
+    /// first problem found.
+    fn try_validate(&self) -> Result<(), String> {
+        let weights = [
+            self.load,
+            self.store,
+            self.load_const,
+            self.int_alu,
+            self.int_muldiv,
+            self.flt_alu,
+            self.flt_muldiv,
+            self.branch,
+        ];
+        let total = self.total();
+        if total.is_nan() || total <= 0.0 {
+            return Err("instruction mix has zero total weight".to_string());
+        }
+        if weights.iter().any(|&w| w < 0.0) {
+            return Err("negative weight in instruction mix".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -231,17 +241,36 @@ impl StochasticApp {
 
     /// Validate the description.
     pub fn validate(&self) {
-        assert!(self.nodes >= 1, "need at least one node");
-        self.mix.validate();
-        assert!(self.working_set >= 64, "working set too small");
-        assert!(self.seq_permille <= 1000, "seq_permille > 1000");
-        assert!(self.loop_body_ops >= 1 && self.loop_iters >= 1);
-        if self.pattern == CommPattern::Butterfly {
-            assert!(
-                self.nodes.is_power_of_two(),
-                "butterfly needs a power-of-two node count"
-            );
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
         }
+    }
+
+    /// [`validate`](Self::validate) as a `Result`, for callers that take
+    /// the description from user input: the error names the first
+    /// problem found.
+    pub fn try_validate(&self) -> Result<(), String> {
+        let fail = |msg: &str| Err(msg.to_string());
+        if self.nodes < 1 {
+            return fail("need at least one node");
+        }
+        self.mix.try_validate()?;
+        if self.working_set < 64 {
+            return fail("working set too small");
+        }
+        if self.seq_permille > 1000 {
+            return fail("seq_permille > 1000");
+        }
+        if self.loop_body_ops < 1 || self.loop_iters < 1 {
+            return fail("loop_body_ops and loop_iters must be at least 1");
+        }
+        if self.pattern == CommPattern::Butterfly && !self.nodes.is_power_of_two() {
+            return Err(format!(
+                "butterfly needs a power-of-two node count, not {}",
+                self.nodes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -286,24 +315,42 @@ impl StochasticGenerator {
     /// synthetic sibling in Fig. 4).
     pub fn generate(&self) -> TraceSet {
         let n = self.app.nodes;
-        let mut traces: Vec<Trace> = (0..n).map(Trace::new).collect();
-        // A shared RNG for cross-node decisions (permutation patterns),
-        // so traces stay balanced.
+        // The communication plan — `plan[phase][node]`, that node's
+        // communication step — draws from a shared RNG (permutation
+        // patterns, message sizes) so traces stay balanced. It is tiny, so
+        // it is built first, serially.
         let mut shared = self.node_rng(u32::MAX, 7);
-        let mut gens: Vec<NodeGen> = (0..n)
-            .map(|node| NodeGen {
-                rng: self.node_rng(node, 1),
-                data_ptr: DATA_BASE,
-                pc: CODE_BASE,
+        let plan: Vec<Vec<Trace>> = (0..self.app.phases)
+            .map(|phase| {
+                let mut step: Vec<Trace> = (0..n).map(Trace::new).collect();
+                self.gen_communication(phase, &mut step, &mut shared);
+                step
             })
             .collect();
-        for phase in 0..self.app.phases {
-            for node in 0..n {
-                let count = self.app.ops_per_phase.sample(&mut gens[node as usize].rng);
-                self.gen_computation(&mut gens[node as usize], &mut traces[node as usize], count);
-            }
-            self.gen_communication(phase, &mut traces, &mut shared, false);
-        }
+        // Computation draws only from each node's own RNG, so every node
+        // builds its whole trace independently — on all host cores — and
+        // the result is the same as interleaving the nodes phase by phase.
+        let traces = pearl::par::map(
+            n as usize,
+            pearl::par::auto_workers(),
+            pearl::par::Delivery::AsCompleted,
+            |node| {
+                let node = node as NodeId;
+                let mut g = NodeGen {
+                    rng: self.node_rng(node, 1),
+                    data_ptr: DATA_BASE,
+                    pc: CODE_BASE,
+                };
+                let mut trace = Trace::new(node);
+                for step in &plan {
+                    let count = self.app.ops_per_phase.sample(&mut g.rng);
+                    self.gen_computation(&mut g, &mut trace, count);
+                    trace.ops.extend_from_slice(&step[node as usize].ops);
+                }
+                trace
+            },
+            |_, _| {},
+        );
         TraceSet::from_traces(traces)
     }
 
@@ -320,7 +367,7 @@ impl StochasticGenerator {
                 let ps = self.app.task_ps.sample(&mut rngs[node as usize]);
                 traces[node as usize].push(Operation::Compute { ps });
             }
-            self.gen_communication(phase, &mut traces, &mut shared, true);
+            self.gen_communication(phase, &mut traces, &mut shared);
         }
         TraceSet::from_traces(traces)
     }
@@ -461,13 +508,7 @@ impl StochasticGenerator {
     }
 
     /// Append one phase's communication step to every node's trace.
-    fn gen_communication(
-        &self,
-        phase: u32,
-        traces: &mut [Trace],
-        shared: &mut StdRng,
-        _task_level: bool,
-    ) {
+    fn gen_communication(&self, phase: u32, traces: &mut [Trace], shared: &mut StdRng) {
         let n = self.app.nodes;
         if n < 2 {
             return;
@@ -586,6 +627,56 @@ mod tests {
         assert_eq!(g1.generate(), g2.generate());
         let g3 = StochasticGenerator::new(app(CommPattern::AllToAll, 4), 43);
         assert_ne!(g1.generate(), g3.generate());
+    }
+
+    /// `generate` as it was before the nodes were built in parallel: all
+    /// nodes advance phase by phase, computation then communication.
+    fn serial_generate(g: &StochasticGenerator) -> TraceSet {
+        let n = g.app.nodes;
+        let mut traces: Vec<Trace> = (0..n).map(Trace::new).collect();
+        let mut shared = g.node_rng(u32::MAX, 7);
+        let mut gens: Vec<NodeGen> = (0..n)
+            .map(|node| NodeGen {
+                rng: g.node_rng(node, 1),
+                data_ptr: DATA_BASE,
+                pc: CODE_BASE,
+            })
+            .collect();
+        for phase in 0..g.app.phases {
+            for node in 0..n as usize {
+                let count = g.app.ops_per_phase.sample(&mut gens[node].rng);
+                g.gen_computation(&mut gens[node], &mut traces[node], count);
+            }
+            g.gen_communication(phase, &mut traces, &mut shared);
+        }
+        TraceSet::from_traces(traces)
+    }
+
+    #[test]
+    fn parallel_generation_matches_the_serial_phase_loop() {
+        for pattern in [
+            CommPattern::None,
+            CommPattern::NearestNeighborRing,
+            CommPattern::AllToAll,
+            CommPattern::MasterWorker,
+            CommPattern::RandomPermutation,
+            CommPattern::Butterfly,
+        ] {
+            for nodes in [1, 2, 16] {
+                for seed in [3, 11] {
+                    let a = StochasticApp {
+                        ops_per_phase: SizeDist::Uniform(40, 160),
+                        msg_bytes: SizeDist::Uniform(64, 8192),
+                        ..app(pattern, nodes)
+                    };
+                    let g = StochasticGenerator::new(a, seed);
+                    assert!(
+                        g.generate() == serial_generate(&g),
+                        "{pattern:?} on {nodes} nodes, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -712,6 +803,19 @@ mod tests {
         let n_large = (0..1000).filter(|_| bim.sample(&mut rng) == 1000).count();
         assert!((300..700).contains(&n_large), "bimodal skewed: {n_large}");
         assert!((bim.mean() - 500.5).abs() < 1.0);
+    }
+
+    #[test]
+    fn try_validate_reports_what_validate_panics_on() {
+        let err = app(CommPattern::Butterfly, 6).try_validate().unwrap_err();
+        assert!(err.contains("power-of-two") && err.contains('6'), "{err}");
+        assert!(app(CommPattern::Butterfly, 8).try_validate().is_ok());
+        let mut a = app(CommPattern::None, 2);
+        a.mix.load = -0.1;
+        assert!(a.try_validate().unwrap_err().contains("negative"));
+        a.mix = InstructionMix::integer();
+        a.working_set = 8;
+        assert!(a.try_validate().unwrap_err().contains("working set"));
     }
 
     #[test]

@@ -16,10 +16,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> unit tests: event kernel, network model, workbench core, probe sinks"
-# The window-barrier, sharded-runner, CLI and probe-sink unit tests live
-# in member crates, which the root-package `cargo test -q` does not run.
-cargo test -q -p pearl -p mermaid-network -p mermaid -p mermaid-probe
+echo "==> unit tests: event kernel, network model, workbench core, probe sinks, trace generators"
+# The window-barrier, fan-out, sharded-runner, CLI, probe-sink and
+# generator unit tests live in member crates, which the root-package
+# `cargo test -q` does not run.
+cargo test -q -p pearl -p mermaid-network -p mermaid -p mermaid-probe -p mermaid-tracegen
 
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null
@@ -64,6 +65,25 @@ for shards in 1 3; do
         || { echo "sim output drifted from golden snapshot (shards=$shards)" >&2; exit 1; }
 done
 
+echo "==> cli: traced detailed run matches its golden snapshot"
+# Pins the per-node computational-model counters and the order they reach
+# the probe in, whatever the host core count. The host-time lines (the
+# slowdown figure and the self-profile) are dropped. Sharded runs carry no
+# engine-internal delivery events (DESIGN.md section 11), so those two
+# lines are left out of the --shards 3 comparison.
+for shards in 1 3; do
+    cargo run --release -p mermaid --bin mermaid-cli -- sim --machine test \
+        --topology mesh:2x2 --mode detailed --phases 2 --pattern all2all \
+        --seed 5 --metrics --shards "$shards" \
+        | sed '/^Self-profile:/,$d' | grep -v "slowdown" > "$serial_out"
+    if [ "$shards" -eq 1 ]; then
+        diff -u tests/golden/sim_detailed_metrics.txt "$serial_out"
+    else
+        diff -u <(grep -v "engine.deliveries" tests/golden/sim_detailed_metrics.txt) \
+            <(grep -v "engine.deliveries" "$serial_out")
+    fi || { echo "detailed metrics drifted from golden snapshot (shards=$shards)" >&2; exit 1; }
+done
+
 echo "==> bench: comm-heavy hot path (quick mode)"
 MERMAID_BENCH_QUICK=1 cargo bench -p mermaid-bench --bench arena_hot_path
 
@@ -101,6 +121,26 @@ for spec in "frob:1" "link:0-99:1000" "drop:2000000" "drop:100000;cap:0" "recv-t
         echo "fault spec $spec should have been rejected" >&2; exit 1
     fi
 done
+
+echo "==> cli: butterfly on a non-power-of-two node count fails cleanly (no panic)"
+# Exit status 1 is a reported error; a panic would exit with 101.
+butterfly_runs=(
+    "sim --machine test --topology ring:3 --pattern butterfly"
+    "sim --machine test --topology ring:3 --mode task --pattern butterfly"
+    "analyze --machine test --topology ring:6 --pattern butterfly"
+)
+for args in "${butterfly_runs[@]}"; do
+    status=0
+    # shellcheck disable=SC2086
+    cargo run --release -p mermaid --bin mermaid-cli -- $args > /dev/null 2>&1 || status=$?
+    [ "$status" -eq 1 ] \
+        || { echo "'$args' should fail with an error, got exit $status" >&2; exit 1; }
+done
+status=0
+cargo run --release -p mermaid --bin mermaid-cli -- campaign \
+    "topo = ring:3; pattern = butterfly" --dry-run > /dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] \
+    || { echo "campaign dry run should reject butterfly on ring:3, got exit $status" >&2; exit 1; }
 
 echo "==> cli: invalid topology specs fail cleanly (no panic)"
 for spec in ring:1 mesh:0x4 hypercube:21 mesh:100000x100000; do
