@@ -206,9 +206,10 @@ impl Router {
         self
     }
 
-    /// Attach cross-shard egress wiring (builder style; sharded runs only).
-    pub fn with_cross_shard(mut self, cross: CrossShard) -> Self {
-        self.cross = Some(cross);
+    /// Attach cross-shard egress wiring (builder style). `None` — a serial
+    /// run — keeps every message in this engine.
+    pub fn with_cross_shard(mut self, cross: Option<CrossShard>) -> Self {
+        self.cross = cross;
         self
     }
 

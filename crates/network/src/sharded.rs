@@ -18,140 +18,50 @@
 //! [`CommSim::run`]: same results, same per-node statistics, same
 //! model-level probe events. See DESIGN.md §11 and §17 for the argument.
 //!
+//! # One round
+//!
+//! A round is two arrivals at the run's one [`WindowBarrier`]:
+//!
+//! 1. flush: append the last window's cross-shard messages to each
+//!    destination shard's mailbox (a `Mutex<Vec>`; one append per
+//!    destination with traffic);
+//! 2. [`wait`](WindowBarrier::wait): every shard has flushed;
+//! 3. drain: take this shard's mailbox and post its messages at their
+//!    serial event keys;
+//! 4. [`publish_mins_timed`](WindowBarrier::publish_mins_timed): exchange
+//!    promises, then run the window.
+//!
+//! A mailbox is appended to only in step 1 and emptied only in step 3, and
+//! the two arrivals order them: a drain follows every sender's flush
+//! arrival, and a sender's next append follows its promise-exchange
+//! arrival, which no shard gets past before every receiver has drained.
+//! So a drain sees exactly the last window's messages, and nothing ever
+//! waits on a mailbox. A checkpoint capture adds two plain
+//! arrivals (pieces deposited; composed). A shard that fails to restore,
+//! or panics, aborts the barrier so its peers return instead of hanging.
+//!
 //! [`run_comm`] is the single entry point. Zero lookahead or a single
 //! shard falls back to the serial [`CommSim`] path.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use mermaid_ops::TraceSet;
 use mermaid_probe::{canonical_sort, AttributionSink, ProbeHandle, ProbeStack, SimEvent};
 use pearl::engine::RunResult;
-use pearl::{CompId, Duration, Engine, Time, WindowBarrier, IDLE_PS};
+use pearl::shard::Aborted;
+use pearl::{Duration, Time, WindowBarrier, IDLE_PS};
 
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
-use crate::packet::NetMsg;
 use crate::partition::{lookahead, PairLookahead, Partition};
-use crate::processor::AbstractProcessor;
-use crate::router::{CrossShard, OutMsg, Router};
-use crate::sim::{CommResult, CommSim, NodeCommStats};
+use crate::router::{CrossShard, OutMsg};
+use crate::sim::{build_engine, CommResult, CommSim, NodeCommStats};
 use crate::snapshot::{capture_piece, restore_engine, ShardPiece, Snapshot, SnapshotError};
-use crate::world::NetWorld;
-
-/// One cross-shard transfer: every message a shard produced for one
-/// destination shard in one flush, shipped as a single channel send.
-type Batch = Vec<OutMsg>;
-
-/// Capacity (in batches) of each shard's cross-shard inbox channel,
-/// derived from the protocol rather than guessed: a sender ships at most
-/// one batch per destination per round (the round-top flush), and a
-/// receiver drains its inbox after the round gate and before the promise
-/// exchange that every sender must pass before its next flush — so at
-/// most one undrained batch can exist per sender at any instant, `k - 1`
-/// per channel. A full channel therefore cannot happen in a correct run;
-/// [`ship`] treats it as a protocol-invariant violation instead of
-/// retrying.
-fn channel_capacity(shards: usize) -> usize {
-    shards.saturating_sub(1).max(1)
-}
-
-/// Push one batch into a destination shard's inbox, panicking on the
-/// (provably impossible) full or disconnected channel — see
-/// [`channel_capacity`] for the bound.
-fn ship(tx: &SyncSender<Batch>, batch: Batch, from: usize, to: usize) {
-    match tx.try_send(batch) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => panic!(
-            "cross-shard channel {from}->{to} full: the batched-flush protocol \
-             bounds in-flight batches below the channel capacity, so this is a \
-             sharding protocol bug, not backpressure"
-        ),
-        Err(TrySendError::Disconnected(_)) => {
-            unreachable!("inbox receivers live for the whole run")
-        }
-    }
-}
-
-/// Iterations a waiting shard spends yielding (the fast path: peers
-/// usually arrive within a scheduling quantum) before it parks on a
-/// condvar. Yield — not `spin_loop` — so single-core hosts still make
-/// progress during the spin phase.
-const SPIN_LIMIT: u32 = 64;
-
-/// How long a parked shard sleeps between inbox drains. Parked shards
-/// must keep draining their channel — a peer blocked on a full channel
-/// to us needs our capacity back — so the park is a timed wait, not an
-/// unbounded one. Host-time only; simulated time is unaffected.
-const PARK_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// A shard's preferred worker count for `--shards auto`.
 pub fn auto_shards() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The round-arrival gate: each shard bumps the counter once per round
-/// and then waits until all `k` shards of that round have arrived (by
-/// which point every cross-shard message of the previous window is in
-/// its destination channel).
-///
-/// Waiting yields for a bounded number of iterations and then parks on a
-/// condvar instead of spinning — an idle shard must not burn a core while
-/// a busy peer finishes its window (ISSUE 8 satellite 1). The park is a
-/// timed wait so the shard keeps draining its own inbox, which keeps the
-/// bounded channels deadlock-free even while parked.
-struct RoundGate {
-    arrivals: AtomicU64,
-    lock: Mutex<()>,
-    cond: Condvar,
-}
-
-impl RoundGate {
-    fn new() -> Self {
-        RoundGate {
-            arrivals: AtomicU64::new(0),
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Register this shard's arrival for the current round and wake any
-    /// parked waiters.
-    fn arrive(&self) {
-        self.arrivals.fetch_add(1, Ordering::AcqRel);
-        // Lock-then-notify pairs with the waiter's locked re-check: an
-        // arrival is either visible to that re-check or notifies after
-        // the waiter started waiting. No wake-up can be lost.
-        let _guard = self.lock.lock().unwrap();
-        self.cond.notify_all();
-    }
-
-    /// Wait until at least `target` shards have arrived, calling `drain`
-    /// between checks so this shard's inbox keeps emptying.
-    fn wait(&self, target: u64, mut drain: impl FnMut()) {
-        for _ in 0..SPIN_LIMIT {
-            if self.arrivals.load(Ordering::Acquire) >= target {
-                return;
-            }
-            drain();
-            thread::yield_now();
-        }
-        loop {
-            if self.arrivals.load(Ordering::Acquire) >= target {
-                return;
-            }
-            {
-                let guard = self.lock.lock().unwrap();
-                if self.arrivals.load(Ordering::Acquire) >= target {
-                    return;
-                }
-                let _ = self.cond.wait_timeout(guard, PARK_WAIT).unwrap();
-            }
-            drain();
-        }
-    }
 }
 
 /// What one shard worker hands back after the run.
@@ -184,15 +94,16 @@ pub struct ShardProfileEntry {
     pub cross_sent: u64,
     /// Cross-shard messages this shard drained from its own inbox.
     pub cross_recv: u64,
-    /// Batched channel sends carrying those messages (one per destination
-    /// shard per flush with traffic) — the actual channel operation count.
+    /// Mailbox appends carrying those messages (one per destination shard
+    /// per flush with traffic) — the actual cross-thread operation count.
     pub flush_batches: u64,
     /// Log2 histogram of executed window widths: `window_hist[b]` counts
     /// windows whose width in picoseconds satisfied `2^b <= width <
     /// 2^(b+1)` (bucket 0 also holds zero-width rounds). Empty when the
     /// shard executed no window.
     pub window_hist: Vec<u64>,
-    /// Host nanoseconds spent waiting on the round gate and window barrier.
+    /// Host nanoseconds spent waiting at the window barrier: both arrivals
+    /// of every round (the flush rendezvous and the promise exchange).
     pub barrier_wait_ns: u64,
     /// Host nanoseconds spent executing events (`Engine::run_until`).
     pub work_ns: u64,
@@ -242,7 +153,7 @@ impl ShardProfile {
         self.shards.iter().map(|s| s.cross_sent).sum()
     }
 
-    /// Total batched channel sends across all shards.
+    /// Total batched mailbox appends across all shards.
     pub fn total_flush_batches(&self) -> u64 {
         self.shards.iter().map(|s| s.flush_batches).sum()
     }
@@ -343,8 +254,9 @@ type CaptureSlot = Option<(ShardPiece, Vec<SimEvent>)>;
 
 /// Shared state of the sharded capture protocol: every shard deposits
 /// its [`ShardPiece`] (plus its buffered probe events, when attribution
-/// is attached), all shards rendezvous on the barrier, then shard 0
-/// composes and writes while the rest wait for the slots to be free.
+/// is attached), all shards meet at the window barrier, then shard 0
+/// composes and writes while the rest wait at the barrier again for the
+/// slots to be free.
 struct CkptSync<'a> {
     opts: &'a CheckpointOpts<'a>,
     /// Seed for the composed attribution record when the run itself was
@@ -354,15 +266,13 @@ struct CkptSync<'a> {
     /// Whether the caller's probe carries an attribution sink.
     want_attr: bool,
     slots: Mutex<Vec<CaptureSlot>>,
-    barrier: Barrier,
-    /// Set after a failed write: captures keep their (deterministic)
+    /// Set by a failed write: captures keep their (deterministic)
     /// rendezvous but no further snapshots are written.
-    failed: AtomicBool,
     error: Mutex<Option<SnapshotError>>,
 }
 
 impl CkptSync<'_> {
-    /// Shard 0, after the capture barrier: compose the deposited pieces
+    /// Shard 0, between the capture arrivals: compose the deposited pieces
     /// into the canonical whole-machine snapshot and hand it to the sink.
     fn compose_and_write(&self) {
         let taken: Vec<(ShardPiece, Vec<SimEvent>)> = self
@@ -372,7 +282,12 @@ impl CkptSync<'_> {
             .iter_mut()
             .map(|s| s.take().expect("every shard deposited a piece"))
             .collect();
-        if self.failed.load(Ordering::Acquire) {
+        if self
+            .error
+            .lock()
+            .expect("no shard panics holding the error slot")
+            .is_some()
+        {
             return;
         }
         let mut pieces = Vec::with_capacity(taken.len());
@@ -400,7 +315,6 @@ impl CkptSync<'_> {
         }
         if let Err(e) = (self.opts.write)(&snap) {
             *self.error.lock().unwrap() = Some(e);
-            self.failed.store(true, Ordering::Release);
         }
     }
 }
@@ -487,6 +401,15 @@ pub fn run_comm(
     run_sharded_inner(cfg, traces, probe, part, la, faults, restore_from, ckpt)
 }
 
+/// The first checkpoint instant of a run: the cadence itself, or — for a
+/// run restored from a snapshot — the first multiple of the cadence after
+/// the restore instant, so a restored run resumes the original cadence.
+fn first_capture_ps(ck: &CheckpointOpts<'_>, restore_from: Option<&Snapshot>) -> u64 {
+    let every = ck.every.as_ps();
+    assert!(every > 0, "checkpoint cadence must be non-zero");
+    restore_from.map_or(every, |snap| (snap.time.as_ps() / every + 1) * every)
+}
+
 /// The serial path of [`run_comm`]: restore (if asked), then run
 /// in stretches bounded by the next checkpoint instant, capturing at
 /// each multiple of the cadence until the event set drains.
@@ -511,13 +434,7 @@ fn run_serial_checkpointed(
     };
     if let Some(ck) = ckpt {
         let every = ck.every.as_ps();
-        assert!(every > 0, "checkpoint cadence must be non-zero");
-        let mut next_cp = match restore_from {
-            // A restored run resumes the original cadence: its next
-            // capture is the first multiple after the restore instant.
-            Some(snap) => (snap.time.as_ps() / every + 1) * every,
-            None => every,
-        };
+        let mut next_cp = first_capture_ps(ck, restore_from);
         loop {
             // Deliver everything strictly before the capture instant;
             // anything else means the event set drained first.
@@ -545,8 +462,8 @@ fn run_sharded_inner(
     restore_from: Option<&Snapshot>,
     ckpt: Option<&CheckpointOpts<'_>>,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
-    let n = cfg.topology.nodes();
     if let Some(snap) = restore_from {
+        let n = cfg.topology.nodes();
         if snap.nodes != n {
             return Err(SnapshotError::NodesMismatch {
                 found: snap.nodes,
@@ -555,251 +472,211 @@ fn run_sharded_inner(
         }
         seed_attribution(&probe, snap)?;
     }
-    assert_eq!(
-        traces.nodes(),
-        n as usize,
-        "trace set has {} nodes, topology {} needs {}",
-        traces.nodes(),
-        cfg.topology.label(),
-        n
-    );
 
     let k = part.shards();
-    let barrier = WindowBarrier::new(k);
-    // Per-shard-pair lookahead matrix, computed once per partition: the
-    // window bound of shard `i` is `min over j of (mins[j] + L[j][i])`
-    // instead of the global minimum plus the global lookahead.
-    let pairla = PairLookahead::compute(&cfg.topology, &part, la);
-    // Round-arrival gate: shards increment once per round; a shard may
-    // compute its round-`r` local minimum only after all `k` increments of
-    // round `r` — by then every cross-shard batch of the previous window
-    // has been pushed into its destination channel.
-    let gate = RoundGate::new();
-    let mut txs = Vec::with_capacity(k);
-    let mut rxs = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (tx, rx) = sync_channel::<Batch>(channel_capacity(k));
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let want_probe = probe.is_enabled();
-    let ckpt_sync = ckpt.map(|opts| CkptSync {
-        opts,
-        base_attr: restore_from.and_then(|s| s.attribution.clone()),
-        want_attr: probe
-            .with_stack(|s| s.attribution.is_some())
-            .unwrap_or(false),
-        slots: Mutex::new((0..k).map(|_| None).collect()),
-        barrier: Barrier::new(k),
-        failed: AtomicBool::new(false),
-        error: Mutex::new(None),
-    });
+    let run = ShardRun {
+        cfg,
+        traces,
+        // Per-shard-pair lookahead matrix, computed once per partition:
+        // the window bound of shard `i` is `min over j of (mins[j] +
+        // L[j][i])` instead of the global minimum plus the global
+        // lookahead.
+        pairla: PairLookahead::compute(&cfg.topology, &part, la),
+        part,
+        barrier: WindowBarrier::new(k),
+        mailboxes: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
+        want_probe: probe.is_enabled(),
+        faults,
+        restore_from,
+        ckpt: ckpt.map(|opts| CkptSync {
+            opts,
+            base_attr: restore_from.and_then(|s| s.attribution.clone()),
+            want_attr: probe
+                .with_stack(|s| s.attribution.is_some())
+                .unwrap_or(false),
+            slots: Mutex::new((0..k).map(|_| None).collect()),
+            error: Mutex::new(None),
+        }),
+    };
 
-    let outs: Vec<ShardOut> = thread::scope(|scope| {
-        let handles: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s, rx)| {
-                let txs = txs.clone();
-                let faults = faults.clone();
-                let (part, barrier, gate, pairla) = (&part, &barrier, &gate, &pairla);
-                let ckpt_sync = ckpt_sync.as_ref();
-                scope.spawn(move || {
-                    shard_worker(
-                        s,
-                        cfg,
-                        traces,
-                        part,
-                        pairla,
-                        barrier,
-                        gate,
-                        txs,
-                        rx,
-                        want_probe,
-                        faults,
-                        restore_from,
-                        ckpt_sync,
-                    )
-                })
+    let joined: Vec<_> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..k)
+            .map(|s| {
+                let run = &run;
+                scope.spawn(move || shard_worker(s, run))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
 
-    if let Some(sync) = &ckpt_sync {
-        if let Some(e) = sync.error.lock().unwrap().take() {
-            return Err(e);
+    // A panic outranks everything: re-raise the first panicking shard's
+    // own payload. Otherwise the first restore error in shard order is
+    // the first damaged record in node order — the error a serial
+    // restore reports.
+    let mut panicked = None;
+    let mut restore_err = None;
+    let mut outs = Vec::with_capacity(k);
+    for r in joined {
+        match r {
+            Err(payload) => {
+                panicked.get_or_insert(payload);
+            }
+            Ok(Ok(out)) => outs.push(out),
+            Ok(Err(ShardStop::Restore(e))) => {
+                restore_err.get_or_insert(e);
+            }
+            Ok(Err(ShardStop::Aborted)) => {}
         }
+    }
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+    if let Some(e) = restore_err {
+        return Err(e);
+    }
+    assert_eq!(outs.len(), k, "the barrier aborted with no failing shard");
+    if let Some(e) = run.ckpt.and_then(|sync| {
+        sync.error
+            .into_inner()
+            .expect("no shard panics holding the error slot")
+    }) {
+        return Err(e);
     }
     let (result, profile) = merge(outs, &probe);
     Ok((result, Some(profile)))
 }
 
-/// One shard's whole life: build its arena world, run the window loop,
-/// collect local stats.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker(
-    s: usize,
+/// Everything the shard workers of one run share.
+struct ShardRun<'a> {
     cfg: NetworkConfig,
-    traces: &TraceSet,
-    part: &Partition,
-    pairla: &PairLookahead,
-    barrier: &WindowBarrier,
-    gate: &RoundGate,
-    txs: Vec<SyncSender<Batch>>,
-    rx: Receiver<Batch>,
+    traces: &'a TraceSet,
+    part: Partition,
+    pairla: PairLookahead,
+    /// The run's one synchronisation point: two arrivals per round, two
+    /// more per checkpoint capture.
+    barrier: WindowBarrier,
+    /// `mailboxes[d]`: cross-shard messages bound for shard `d`, appended
+    /// by senders at the top of a round and emptied by `d` after that
+    /// round's flush arrival. Senders append without waiting — nothing
+    /// can block on a mailbox.
+    mailboxes: Vec<Mutex<Vec<OutMsg>>>,
     want_probe: bool,
     faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CkptSync<'_>>,
-) -> ShardOut {
-    let n = part.nodes();
-    let k = part.shards() as u64;
+    restore_from: Option<&'a Snapshot>,
+    ckpt: Option<CkptSync<'a>>,
+}
+
+/// Why a shard worker left its window loop early.
+enum ShardStop {
+    /// Its slice of the snapshot failed to restore; it aborted the barrier.
+    Restore(SnapshotError),
+    /// A peer aborted the barrier.
+    Aborted,
+}
+
+impl From<Aborted> for ShardStop {
+    fn from(_: Aborted) -> Self {
+        ShardStop::Aborted
+    }
+}
+
+/// One shard's whole life: build its arena world, run the window loop,
+/// collect local stats.
+fn shard_worker(s: usize, run: &ShardRun<'_>) -> Result<ShardOut, ShardStop> {
+    // A panic anywhere below releases the peers instead of stranding them
+    // at the barrier; `run_sharded_inner` re-raises it.
+    let _abort_guard = run.barrier.abort_on_unwind();
+    let (part, barrier) = (&run.part, &run.barrier);
     let range = part.range(s);
-    let local_mask: Arc<[bool]> = part.local_mask(s).into();
-    let my_probe = if want_probe {
+    let my_probe = if run.want_probe {
         ProbeHandle::new(ProbeStack::new().with_buffer())
     } else {
         ProbeHandle::disabled()
     };
-
-    // Mirror component layout: the shard's world owns only the slabs of
-    // its own node range, but reports the full `2n` id space, so
-    // component ids, event keys and key-counter indexing match the serial
-    // engine exactly. An event addressed to an unowned id panics inside
-    // `NetWorld` — the window protocol routes every event to the shard
-    // owning its destination.
     let outbox = std::rc::Rc::new(std::cell::RefCell::new(Vec::<OutMsg>::new()));
-    let mut routers = Vec::with_capacity(range.len());
-    let mut procs = Vec::with_capacity(range.len());
-    for node in range.clone() {
-        routers.push(
-            Router::new(
-                node,
-                cfg.topology,
-                cfg.link,
-                cfg.router,
-                (n + node) as CompId,
-            )
-            .with_probe(my_probe.clone())
-            .with_faults(faults.clone())
-            .with_cross_shard(CrossShard {
-                local: Arc::clone(&local_mask),
-                outbox: outbox.clone(),
-            }),
-        );
-    }
-    for node in range.clone() {
-        procs.push(
-            AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
-                .with_probe(my_probe.clone())
-                .with_faults(faults.clone()),
-        );
-    }
-    let mut engine = Engine::with_world(NetWorld::new(n, range.start, routers, procs));
-    match restore_from {
-        Some(snap) => {
-            // A restored shard overlays the snapshot instead of priming:
-            // the queue, clock and counters are replaced wholesale with
-            // the owned-destination slice of the snapshot (scripted fault
-            // events at or after the instant are in that pending set
-            // under their original keys, so nothing is posted here).
-            // Shard 0 carries the snapshot's delivery count; the merge
-            // sums per-shard counts, so the total matches an
-            // uninterrupted run.
-            let base = if s == 0 { snap.events_processed } else { 0 };
-            restore_engine(&mut engine, snap, base)
-                .unwrap_or_else(|e| panic!("shard {s} cannot restore: {e}"));
-        }
-        None => {
-            // Post this shard's scripted fault events *before* priming,
-            // exactly as the serial engine posts them before running:
-            // fault events are self-events of their router, so posting
-            // only the local nodes' events (in the same per-node schedule
-            // order) consumes the same per-component key counters and
-            // yields serial-identical event keys.
-            if let Some(f) = &faults {
-                for node in range.clone() {
-                    for ev in f.events_for(node) {
-                        engine.post(
-                            ev.at,
-                            node as CompId,
-                            node as CompId,
-                            NetMsg::Fault(ev.kind),
-                        );
-                    }
-                }
-            }
-            engine.prime();
+    let cross = CrossShard {
+        local: part.local_mask(s).into(),
+        outbox: outbox.clone(),
+    };
+    let mut engine = build_engine(
+        &run.cfg,
+        run.traces,
+        &my_probe,
+        run.faults.as_ref(),
+        range.clone(),
+        Some(cross),
+    );
+    if let Some(snap) = run.restore_from {
+        // A restored shard overlays the owned-destination slice of the
+        // snapshot: queue, clock and counters are replaced wholesale
+        // (scripted fault events at or after the instant are in that
+        // pending set under their original keys). Shard 0 carries the
+        // snapshot's delivery count; the merge sums per-shard counts, so
+        // the total matches an uninterrupted run.
+        let base = if s == 0 { snap.events_processed } else { 0 };
+        if let Err(e) = restore_engine(&mut engine, snap, base) {
+            barrier.abort();
+            return Err(ShardStop::Restore(e));
         }
     }
 
     // Checkpoint cadence: every shard tracks the same next-capture
     // instant (same cadence, same agreed windows), so all of them reach
     // every capture rendezvous in the same round.
-    let (mut next_cp, every_ps) = match ckpt {
-        Some(ck) => {
-            let every = ck.opts.every.as_ps();
-            assert!(every > 0, "checkpoint cadence must be non-zero");
-            let first = match restore_from {
-                Some(snap) => (snap.time.as_ps() / every + 1) * every,
-                None => every,
-            };
-            (first, every)
-        }
-        None => (u64::MAX, 0),
-    };
+    let mut next_cp = run
+        .ckpt
+        .as_ref()
+        .map_or(u64::MAX, |ck| first_capture_ps(ck.opts, run.restore_from));
 
-    let ks = part.shards();
-    let mut round: u64 = 0;
-    let mut inbox: Vec<Batch> = Vec::new();
     let mut profile = ShardProfileEntry {
         shard: s,
         ..ShardProfileEntry::default()
     };
     let mut mins: Vec<u64> = Vec::new();
+    let mut inbox: Vec<OutMsg> = Vec::new();
     loop {
-        // 1. Flush this round's cross-shard messages: one channel send
-        //    per destination shard with traffic. The channels never fill
-        //    (see [`channel_capacity`]), so there is no retry path.
+        // 1. Flush this window's cross-shard messages: one mailbox append
+        //    per destination shard with traffic.
         {
             let mut msgs = outbox.borrow_mut();
             if !msgs.is_empty() {
                 profile.cross_sent += msgs.len() as u64;
-                let mut batches: Vec<Batch> = vec![Vec::new(); ks];
-                for m in msgs.drain(..) {
-                    batches[part.shard_of(m.dst as u32)].push(m);
-                }
-                for (d, b) in batches.into_iter().enumerate() {
-                    if !b.is_empty() {
+                for (d, mailbox) in run.mailboxes.iter().enumerate() {
+                    let mut batch = msgs
+                        .iter()
+                        .filter(|m| part.shard_of(m.dst as u32) == d)
+                        .peekable();
+                    if batch.peek().is_some() {
                         profile.flush_batches += 1;
-                        ship(&txs[d], b, s, d);
+                        mailbox
+                            .lock()
+                            .expect("no shard panics holding a mailbox")
+                            .extend(batch.cloned());
                     }
                 }
+                msgs.clear();
             }
         }
-        // 2. Round gate: wait (draining) until every shard has flushed.
-        round += 1;
-        gate.arrive();
-        let gate_wait = std::time::Instant::now();
-        gate.wait(round * k, || inbox.extend(rx.try_iter()));
-        profile.barrier_wait_ns += gate_wait.elapsed().as_nanos() as u64;
-        inbox.extend(rx.try_iter());
+        // 2. First arrival: every shard has flushed.
+        profile.barrier_wait_ns += barrier.wait()?;
         // 3. Inject cross-shard arrivals at their exact serial queue keys.
-        for b in inbox.drain(..) {
-            profile.cross_recv += b.len() as u64;
-            for m in b {
-                engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-            }
+        //    No peer appends again before this shard's next arrival, so
+        //    the mailbox holds exactly the last window's messages.
+        std::mem::swap(
+            &mut inbox,
+            &mut run.mailboxes[s]
+                .lock()
+                .expect("no shard panics holding a mailbox"),
+        );
+        profile.cross_recv += inbox.len() as u64;
+        for m in inbox.drain(..) {
+            engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
         }
-        // 4. Publish this shard's promise — its queue head, which
-        //    lower-bounds (through the pair matrix) every message it may
-        //    still deliver — and read every peer's.
+        // 4. Second arrival: publish this shard's promise — its queue
+        //    head, which lower-bounds (through the pair matrix) every
+        //    message it may still deliver — and read every peer's.
         let local_ps = engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps());
-        profile.barrier_wait_ns += barrier.publish_mins_timed(s, local_ps, &mut mins);
+        profile.barrier_wait_ns += barrier.publish_mins_timed(s, local_ps, &mut mins)?;
         let m_ps = mins.iter().copied().min().unwrap_or(IDLE_PS);
         if m_ps == IDLE_PS {
             // Every engine drained, nothing in flight.
@@ -811,7 +688,7 @@ fn shard_worker(
         //    it, and step 3 already posted every in-flight message. Every
         //    shard sees the same `mins` and cadence, so all deposit
         //    pieces for the same instants in the same rounds.
-        if let Some(ck) = ckpt {
+        if let Some(ck) = &run.ckpt {
             while next_cp <= m_ps {
                 let at = Time::from_ps(next_cp);
                 let piece = capture_piece(&engine, &ck.opts.config_hash, at);
@@ -824,23 +701,23 @@ fn shard_worker(
                     Vec::new()
                 };
                 ck.slots.lock().unwrap()[s] = Some((piece, buffered));
-                // First rendezvous: every piece is deposited. Second:
-                // shard 0 has consumed them — without it, a fast shard
-                // could overwrite its slot with the *next* instant's
-                // piece before the compose reads this one.
-                ck.barrier.wait();
+                // First arrival: every piece is deposited. Second: shard 0
+                // has consumed them — without it, a fast shard could
+                // overwrite its slot with the *next* instant's piece
+                // before the compose reads this one.
+                barrier.wait()?;
                 if s == 0 {
                     ck.compose_and_write();
                 }
-                ck.barrier.wait();
-                next_cp += every_ps;
+                barrier.wait()?;
+                next_cp += ck.opts.every.as_ps();
             }
         }
         // 6. Execute the window. Events *at* the window end belong to the
         //    next round (times are integer picoseconds, so `end - 1` is
         //    exact).
         profile.windows += 1;
-        let end_ps = pairla.window_end_ps(s, &mins).min(next_cp);
+        let end_ps = run.pairla.window_end_ps(s, &mins).min(next_cp);
         if let Some(start) = engine.next_event_time().map(|t| t.as_ps()) {
             if start < end_ps {
                 let work = std::time::Instant::now();
@@ -852,20 +729,19 @@ fn shard_worker(
     }
     profile.events = engine.events_processed();
 
-    let mut nodes = Vec::with_capacity(range.len());
     let world = engine.world();
-    for node in range {
-        nodes.push(NodeCommStats {
+    let nodes = range
+        .map(|node| NodeCommStats {
             node,
             proc: world.proc(node).stats.clone(),
             router: world.router(node).snapshot_stats(),
-        });
-    }
-    ShardOut {
+        })
+        .collect();
+    Ok(ShardOut {
         nodes,
         probe_events: my_probe.take_buffer().unwrap_or_default(),
         profile,
-    }
+    })
 }
 
 /// Fold per-shard outputs into one [`CommResult`], mirroring
@@ -1323,5 +1199,86 @@ mod tests {
                 .expect_err("a silent partial attribution report must be refused");
             assert!(err.to_string().contains("attribution"), "{err}");
         }
+    }
+
+    /// Run `f` on its own thread and return its panic message (`None` when
+    /// it returns normally). A watchdog fails the test instead of letting
+    /// a stranded shard hang the suite.
+    fn panic_message(f: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let msg = r.err().map(|p| match p.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p.downcast::<&str>().map_or("?".into(), |s| s.to_string()),
+            });
+            tx.send(msg).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the run hung instead of finishing or panicking")
+    }
+
+    #[test]
+    fn a_panicking_shard_reaches_the_caller() {
+        // Shard 0 panics inside the checkpoint sink, between the two
+        // capture arrivals; its peers are released and the caller sees
+        // the original payload.
+        for shards in [1, 3] {
+            let msg = panic_message(move || {
+                let cfg = NetworkConfig::test(Topology::Ring(8));
+                let ts = exchange_traces(8);
+                let write = |_: &Snapshot| -> Result<(), SnapshotError> {
+                    panic!("checkpoint sink exploded")
+                };
+                let opts = CheckpointOpts {
+                    every: Duration::from_ps(2_000),
+                    config_hash: "00000000deadbeef".into(),
+                    write: &write,
+                };
+                let _ = run_comm(
+                    cfg,
+                    &ts,
+                    ProbeHandle::disabled(),
+                    shards,
+                    None,
+                    None,
+                    Some(&opts),
+                );
+            });
+            assert_eq!(
+                msg.as_deref(),
+                Some("checkpoint sink exploded"),
+                "{shards} shard(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn an_invalid_fault_schedule_is_rejected_at_every_shard_count() {
+        let msgs: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|shards| {
+                panic_message(move || {
+                    let cfg = NetworkConfig::test(Topology::Ring(8));
+                    let ts = exchange_traces(8);
+                    let mut f = FaultSchedule::new(3);
+                    f.crash_router(99, Time::from_ps(1_000), None);
+                    let _ = run_comm(
+                        cfg,
+                        &ts,
+                        ProbeHandle::disabled(),
+                        shards,
+                        Some(Arc::new(f)),
+                        None,
+                        None,
+                    );
+                })
+            })
+            .collect();
+        assert_eq!(
+            msgs[0].as_deref(),
+            Some("invalid fault schedule for ring(8): fault router 99 out of range for 8 nodes")
+        );
+        assert_eq!(msgs[0], msgs[1]);
     }
 }

@@ -1,5 +1,6 @@
 //! The multi-node communication simulation: wiring, execution, results.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use mermaid_ops::{NodeId, TraceSet};
@@ -11,7 +12,7 @@ use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
 use crate::processor::{AbstractProcessor, ProcStats, UnreachableReport};
-use crate::router::{Router, RouterStats};
+use crate::router::{CrossShard, Router, RouterStats};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
@@ -224,68 +225,10 @@ impl CommSim {
         probe: ProbeHandle,
         faults: Option<Arc<FaultSchedule>>,
     ) -> Self {
-        cfg.validate();
-        if let Some(f) = &faults {
-            if let Err(e) = f.try_validate(&cfg.topology) {
-                panic!("invalid fault schedule for {}: {e}", cfg.topology.label());
-            }
-        }
         let n = cfg.topology.nodes();
-        // Compare as usize — casting `traces.nodes()` down to u32 could
-        // truncate an oversized trace set into a spurious match.
-        assert_eq!(
-            traces.nodes(),
-            n as usize,
-            "trace set has {} nodes, topology {} needs {}",
-            traces.nodes(),
-            cfg.topology.label(),
-            n
-        );
-        // Arena layout (DESIGN.md §15): router of node `i` is component
-        // `i`, its processor is component `n + i`. Components address each
-        // other by that arithmetic — no id tables.
-        let mut routers = Vec::with_capacity(n as usize);
-        let mut procs = Vec::with_capacity(n as usize);
-        for node in 0..n {
-            routers.push(
-                Router::new(
-                    node,
-                    cfg.topology,
-                    cfg.link,
-                    cfg.router,
-                    (n + node) as CompId,
-                )
-                .with_probe(probe.clone())
-                .with_faults(faults.clone()),
-            );
-        }
-        for node in 0..n {
-            procs.push(
-                AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
-                    .with_probe(probe.clone())
-                    .with_faults(faults.clone()),
-            );
-        }
-        let mut engine = Engine::with_world(NetWorld::new(n, 0, routers, procs));
+        let mut engine = build_engine(&cfg, traces, &probe, faults.as_ref(), 0..n, None);
         if let Some(adapter) = probe.engine_adapter() {
             engine.set_probe(adapter);
-        }
-        if let Some(f) = &faults {
-            // Post the scripted fault events before the run, node by node
-            // in schedule order. They are self-events of the affected
-            // router, so a sharded mirror engine posting only *its* nodes'
-            // events consumes exactly the same per-component key counters —
-            // the foundation of serial/sharded bit-identity under faults.
-            for node in 0..n {
-                for ev in f.events_for(node) {
-                    engine.post(
-                        ev.at,
-                        node as CompId,
-                        node as CompId,
-                        NetMsg::Fault(ev.kind),
-                    );
-                }
-            }
         }
         CommSim {
             engine,
@@ -400,6 +343,88 @@ impl CommSim {
         let idle = self.engine.pending_events() == 0;
         CommResult::from_nodes(nodes, self.engine.events_processed(), idle)
     }
+}
+
+/// Build the engine for the nodes in `owned`: the whole machine serially,
+/// one shard's contiguous slice in a sharded run. The one construction
+/// path of both, so they validate, build and post faults alike.
+///
+/// The world owns only the slabs of `owned` but reports the full `2n`
+/// component id space (router of node `i` is component `i`, its processor
+/// `n + i`; DESIGN.md §15), so component ids, event keys and key-counter
+/// indexing match the serial engine exactly. `cross` diverts messages to
+/// nodes outside `owned` into a shard's outbox.
+///
+/// Panics on an invalid configuration or fault schedule, or a trace set
+/// whose node count differs from the topology's.
+pub(crate) fn build_engine(
+    cfg: &NetworkConfig,
+    traces: &TraceSet,
+    probe: &ProbeHandle,
+    faults: Option<&Arc<FaultSchedule>>,
+    owned: Range<NodeId>,
+    cross: Option<CrossShard>,
+) -> Engine<NetMsg, NetWorld> {
+    cfg.validate();
+    if let Some(f) = faults {
+        if let Err(e) = f.try_validate(&cfg.topology) {
+            panic!("invalid fault schedule for {}: {e}", cfg.topology.label());
+        }
+    }
+    let n = cfg.topology.nodes();
+    // Compare as usize — casting `traces.nodes()` down to u32 could
+    // truncate an oversized trace set into a spurious match.
+    assert_eq!(
+        traces.nodes(),
+        n as usize,
+        "trace set has {} nodes, topology {} needs {}",
+        traces.nodes(),
+        cfg.topology.label(),
+        n
+    );
+    let routers = owned
+        .clone()
+        .map(|node| {
+            Router::new(
+                node,
+                cfg.topology,
+                cfg.link,
+                cfg.router,
+                (n + node) as CompId,
+            )
+            .with_probe(probe.clone())
+            .with_faults(faults.cloned())
+            .with_cross_shard(cross.clone())
+        })
+        .collect();
+    let procs = owned
+        .clone()
+        .map(|node| {
+            AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, *cfg)
+                .with_probe(probe.clone())
+                .with_faults(faults.cloned())
+        })
+        .collect();
+    let mut engine = Engine::with_world(NetWorld::new(n, owned.start, routers, procs));
+    if let Some(f) = faults {
+        // Post the scripted fault events before the run, node by node in
+        // schedule order. They are self-events of the affected router, so
+        // a shard posting only its own nodes' events consumes exactly the
+        // per-component key counters the serial engine does — the
+        // foundation of serial/sharded bit-identity under faults. A
+        // restore replaces them with the snapshot's pending set.
+        for node in owned {
+            for ev in f.events_for(node) {
+                engine.post(
+                    ev.at,
+                    node as CompId,
+                    node as CompId,
+                    NetMsg::Fault(ev.kind),
+                );
+            }
+        }
+    }
+    engine
 }
 
 #[cfg(test)]

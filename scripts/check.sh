@@ -237,15 +237,42 @@ for shards in 1 3; do
         || { echo "restored run diverged from straight-through (shards=$shards)" >&2; exit 1; }
 done
 
-echo "==> cli: damaged or mismatched snapshots fail cleanly (no panic)"
+echo "==> cli: damaged or mismatched snapshots fail cleanly (no panic, no hang)"
+# Every refusal must exit 1 (a panic exits 101, a hang is killed by
+# timeout with 124) with the same error serially and on 3 shards. The
+# malformed snapshot keeps a valid body hash, so it reaches the restore
+# itself: its router 9 record carries one integer too many.
 head -c 40 "$mid" > "$ckpt_serial_dir/torn.snap"
-if cargo run --release -p mermaid --bin mermaid-cli -- "${ckpt_args[@]}" \
-    --restore "$ckpt_serial_dir/torn.snap" > /dev/null 2>&1; then
-    echo "a torn snapshot should have been refused" >&2; exit 1
-fi
-if cargo run --release -p mermaid --bin mermaid-cli -- "${ckpt_args[@]}" --seed 2 \
-    --restore "$mid" > /dev/null 2>&1; then
-    echo "a snapshot from different run parameters should have been refused" >&2; exit 1
-fi
+python3 - "$mid" "$ckpt_serial_dir/malformed.snap" <<'PY'
+import sys
+header, body = open(sys.argv[1]).read().split("\n", 1)
+body = "".join(l + " 7\n" if l.startswith("router 9 ") else l + "\n" for l in body.splitlines())
+h = 0xCBF29CE484222325
+for b in body.encode():
+    h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+header = " ".join("body=%016x" % h if f.startswith("body=") else f for f in header.split(" "))
+open(sys.argv[2], "w").write(header + "\n" + body)
+PY
+refusals=(
+    "--restore $ckpt_serial_dir/torn.snap"
+    "--seed 2 --restore $mid"
+    "--restore $ckpt_serial_dir/malformed.snap"
+)
+for extra in "${refusals[@]}"; do
+    for shards in 1 3; do
+        status=0
+        # shellcheck disable=SC2086
+        timeout 60 cargo run -q --release -p mermaid --bin mermaid-cli -- "${ckpt_args[@]}" \
+            $extra --shards "$shards" > /dev/null 2> "$sharded_out" || status=$?
+        [ "$status" -eq 1 ] \
+            || { echo "'$extra --shards $shards' should fail with an error, got exit $status" >&2; exit 1; }
+        head -n 1 "$sharded_out" > "$sharded_out.$shards"
+    done
+    diff -u "$sharded_out.1" "$sharded_out.3" \
+        || { echo "'$extra' fails differently serially and on 3 shards" >&2; exit 1; }
+    rm -f "$sharded_out.1" "$sharded_out.3"
+done
+grep -q "1 trailing integer(s) after the router state" "$sharded_out" \
+    || { echo "the malformed snapshot was refused for the wrong reason" >&2; exit 1; }
 
 echo "All checks passed."

@@ -310,6 +310,65 @@ fn torn_snapshots_are_detected_never_restored() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot whose body hash is valid but whose `router 9` record carries
+/// one integer too many fails to restore with the same error at every
+/// shard count — promptly: a failing shard must release its peers rather
+/// than strand them at the window barrier. Each restore runs under a
+/// watchdog so a regression fails the test instead of hanging the suite.
+#[test]
+fn a_malformed_record_fails_the_restore_alike_at_every_shard_count() {
+    let dir = temp_dir("malformed");
+    let base = base_args("torus:4x4", "all2all", None);
+    let snap = capture(&base, &dir, false).swap_remove(0);
+    let text = std::fs::read_to_string(&snap).unwrap();
+    let (header, body) = text.split_once('\n').unwrap();
+    let body: String = body
+        .lines()
+        .map(|l| {
+            if l.starts_with("router 9 ") {
+                format!("{l} 7\n")
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    let header: Vec<String> = header
+        .split(' ')
+        .map(|f| match f.strip_prefix("body=") {
+            Some(_) => format!(
+                "body={:016x}",
+                mermaid_network::snapshot::fnv1a64(body.as_bytes())
+            ),
+            None => f.to_string(),
+        })
+        .collect();
+    let bad = dir.join("malformed.snap");
+    std::fs::write(&bad, format!("{}\n{body}", header.join(" "))).unwrap();
+
+    let errors: Vec<String> = ["1", "2", "3"]
+        .into_iter()
+        .map(|shards| {
+            let mut args = base.clone();
+            args.extend(s(&["--restore", bad.to_str().unwrap(), "--shards", shards]));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(run(&args)).unwrap());
+            rx.recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("restore on {shards} shard(s) hung"))
+                .expect_err("a malformed record must be refused")
+        })
+        .collect();
+    assert!(
+        errors[0].starts_with(
+            "corrupt snapshot (router 9 record): 1 trailing integer(s) after the router state"
+        ),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1], "2 shards");
+    assert_eq!(errors[0], errors[2], "3 shards");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Golden fixture of a complete snapshot file for a pinned tiny run: the
 /// on-disk format — header fields, record layout, integer encodings,
 /// body hash — is a persistence contract (DESIGN.md §16). Any drift must
